@@ -3,7 +3,7 @@ finite-difference audit that keeps the gradients honest."""
 
 import numpy as np
 
-from entqa.tensor import Tensor, gradcheck, softmax_cross_entropy, tanh
+from entqa.tensor import Tensor, gelu, gradcheck, softmax_cross_entropy
 
 # ---------------------------------------------------------------------------
 # 1. A tiny computation graph: y = mean((x @ w + b)^2)
@@ -34,7 +34,7 @@ print("\nuniform 5-way CE:", loss.item(), "vs log(5):", np.log(5))
 # ---------------------------------------------------------------------------
 def loss_fn():
     h = x @ w + b
-    return (tanh(h) * h).sum()
+    return (gelu(h) * h).sum()
 
 report = gradcheck(loss_fn, {"w": w, "b": b}, rng=np.random.default_rng(1))
 for name, entry in report.items():

@@ -1,9 +1,9 @@
 """Token encoder, entity encoder, information fusion and task heads.
 
-One parameter dictionary realizes all four systems: the plain encoder
+One parameter layout realizes all four systems: the plain encoder
 baseline (entities off), the entity-fused encoder, the multi-task fused
 model (span + logical-form losses), and the evidence-classification
-variant. Fusion follows
+variant; each system builds only the parameters it uses. Fusion follows
 
     h_j = gelu(W_t w_j + W_e e_k + b)        when token j has an entity
     h_j = gelu(W_t w_j + b)                  otherwise
@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class Batch:
     answer_end: np.ndarray | None = None
     lf_ids: np.ndarray | None = None
     evidence_labels: np.ndarray | None = None
-    meta: list = field(default_factory=list)
 
 
 def make_batch(pairs: list[EncodedPair], lf_ids=None, evidence_labels=None) -> Batch:
@@ -106,7 +105,6 @@ def make_batch(pairs: list[EncodedPair], lf_ids=None, evidence_labels=None) -> B
         lf_ids=None if lf_ids is None else np.asarray(lf_ids),
         evidence_labels=(None if evidence_labels is None
                          else np.asarray(evidence_labels)),
-        meta=[p.meta for p in pairs],
     )
 
 
@@ -148,6 +146,12 @@ def _block_params(rng, prefix, dim, ffn_mult):
 
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """The parameters of the config's system.
+
+    Every system's tensors are drawn in one fixed order and the unused
+    ones discarded, so a parameter's initial value does not depend on the
+    system.
+    """
     rng = np.random.default_rng(seed)
     d, de = config.hidden_dim, config.entity_dim
     p = {
@@ -184,7 +188,10 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
 
     p["ev.w"] = Tensor(_truncated_normal(rng, (d, 1)), requires_grad=True)
     p["ev.b"] = Tensor(np.zeros(1), requires_grad=True)
-    return p
+    unused = ("ev." if config.mode == "span" else "span.",)
+    if not config.use_entities:
+        unused += ("ent", "fuse.we")
+    return {k: v for k, v in p.items() if not k.startswith(unused)}
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +257,25 @@ def encode_entities(params, config: ModelConfig, batch: Batch,
     return T.layer_norm(x, params["ent_ln.g"], params["ent_ln.b"])
 
 
-def fuse(params, token_states: Tensor, entity_states: Tensor,
+def fuse(params, token_states: Tensor, entity_states: Tensor | None,
          entity_flags: np.ndarray) -> Tensor:
-    """Information fusion with an entity-free path for unflagged tokens."""
+    """Information fusion with an entity-free path for unflagged tokens;
+    `entity_states=None` takes that path at every position."""
     pre = token_states.matmul(params["fuse.wt"]) + params["fuse.b"]
-    flags = np.asarray(entity_flags, dtype=float)[..., None]
-    ent_term = entity_states.matmul(params["fuse.we"]) * Tensor(flags)
-    return T.gelu(pre + ent_term)
+    if entity_states is not None:
+        flags = np.asarray(entity_flags, dtype=float)[..., None]
+        pre = pre + entity_states.matmul(params["fuse.we"]) * Tensor(flags)
+    return T.gelu(pre)
 
 
 def forward(params, config: ModelConfig, batch: Batch,
             train: bool = False, rng=None) -> HeadOutputs:
     tok = encode_tokens(params, config, batch, train=train, rng=rng)
     flags = (batch.entity_ids != 0) & batch.attention_mask
+    ent = None
     if config.use_entities and flags.any():
         ent = encode_entities(params, config, batch, train=train, rng=rng)
-        fused = fuse(params, tok, ent, flags)
-    else:
-        fused = fuse(params, tok, _zero_entities(config, batch),
-                     np.zeros_like(flags))
+    fused = fuse(params, tok, ent, flags)
     out = HeadOutputs(fused=fused)
     pooled = fused[:, 0]
     out.lf_logits = pooled.matmul(params["lf.w"]) + params["lf.b"]
@@ -285,11 +292,6 @@ def forward(params, config: ModelConfig, batch: Batch,
     return out
 
 
-def _zero_entities(config: ModelConfig, batch: Batch) -> Tensor:
-    b, l = batch.entity_ids.shape
-    return Tensor(np.zeros((b, l, config.entity_dim)))
-
-
 # ---------------------------------------------------------------------------
 # Losses.
 # ---------------------------------------------------------------------------
@@ -302,39 +304,38 @@ class LossParts:
     evidence: float = float("nan")
 
 
-def multitask_loss(outputs: HeadOutputs, answer_start, answer_end,
-                   lf_ids, omega: float) -> LossParts:
-    """omega * L_lf + (1 - omega) * L_span, with
-    L_span = (CE(start) + CE(end)) / 2."""
+def _mix_lf(outputs: HeadOutputs, main: Tensor, lf_ids,
+            omega: float) -> tuple[Tensor, Tensor]:
+    """(omega * L_lf + (1 - omega) * main, L_lf); L_lf is 0 without gold
+    logical-form ids, which only omega = 0 allows."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must be in [0, 1], got {omega}")
     if lf_ids is None and omega > 0:
         raise ValueError("omega > 0 requires gold logical-form ids")
-    l_start = T.softmax_cross_entropy(outputs.start_logits, answer_start)
-    l_end = T.softmax_cross_entropy(outputs.end_logits, answer_end)
-    l_span = (l_start + l_end) * 0.5
     if lf_ids is not None:
         l_lf = T.softmax_cross_entropy(outputs.lf_logits, lf_ids)
     else:
         l_lf = Tensor(0.0)
-    total = omega * l_lf + (1.0 - omega) * l_span
+    return omega * l_lf + (1.0 - omega) * main, l_lf
+
+
+def multitask_loss(outputs: HeadOutputs, answer_start, answer_end,
+                   lf_ids, omega: float) -> LossParts:
+    """omega * L_lf + (1 - omega) * L_span, with
+    L_span = (CE(start) + CE(end)) / 2."""
+    l_start = T.softmax_cross_entropy(outputs.start_logits, answer_start)
+    l_end = T.softmax_cross_entropy(outputs.end_logits, answer_end)
+    l_span = (l_start + l_end) * 0.5
+    total, l_lf = _mix_lf(outputs, l_span, lf_ids, omega)
     return LossParts(total=total, span=l_span.item(), lf=l_lf.item())
 
 
 def evidence_loss(outputs: HeadOutputs, evidence_labels, lf_ids,
                   omega: float) -> LossParts:
     """omega * L_lf + (1 - omega) * L_evidence (binary cross-entropy)."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must be in [0, 1], got {omega}")
-    if lf_ids is None and omega > 0:
-        raise ValueError("omega > 0 requires gold logical-form ids")
     l_ev = T.binary_cross_entropy_with_logits(outputs.evidence_logit,
                                               evidence_labels)
-    if lf_ids is not None:
-        l_lf = T.softmax_cross_entropy(outputs.lf_logits, lf_ids)
-    else:
-        l_lf = Tensor(0.0)
-    total = omega * l_lf + (1.0 - omega) * l_ev
+    total, l_lf = _mix_lf(outputs, l_ev, lf_ids, omega)
     return LossParts(total=total, evidence=l_ev.item(), lf=l_lf.item())
 
 

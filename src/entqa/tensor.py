@@ -86,9 +86,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- autodiff ------------------------------------------------------------
 
     def backward(self, grad=None):
@@ -266,16 +263,6 @@ def gelu(x: Tensor) -> Tensor:
         if x.requires_grad:
             pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
             x._accumulate(g * (cdf + xd * pdf))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - out_data * out_data))
 
     return Tensor._make(out_data, (x,), backward)
 

@@ -58,9 +58,6 @@ class Vocab:
     def id_for(self, token: str) -> int:
         return self._token_to_id.get(token, self._token_to_id[UNK])
 
-    def token_for(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     @classmethod
     def build(cls, texts, min_frequency: int = 1) -> "Vocab":
         counts = Counter()
@@ -139,10 +136,6 @@ class Gazetteer:
         return tags
 
 
-def tag_entities(text: str, gazetteer: Gazetteer) -> list[EntityTag]:
-    return gazetteer.tag(text)
-
-
 @dataclass
 class EncodedPair:
     """A model-ready [CLS] question [SEP] context [SEP] sequence."""
@@ -186,7 +179,6 @@ def encode_pair(question: str, context: str, vocab: Vocab, max_seq_len: int,
         raise EncodingError(
             f"question of {len(q_toks)} tokens exceeds max_seq_len={max_seq_len}")
     ctx_budget = max_seq_len - len(q_toks) - overhead
-    truncated = len(c_toks) > ctx_budget
     c_kept = c_toks[:ctx_budget]
 
     q_ent = _entity_ids_for(q_toks, question_tags or [])
@@ -228,8 +220,6 @@ def encode_pair(question: str, context: str, vocab: Vocab, max_seq_len: int,
             ans_end = ctx_start + hit[-1]
         else:
             dropped = True  # answer lost to truncation
-    elif truncated:
-        pass
 
     return EncodedPair(
         token_ids=token_ids, segment_ids=segment_ids,

@@ -124,9 +124,8 @@ def make_evidence_examples(examples: list[QAExample],
 
 
 def encode_evidence_examples(examples: list[EvidenceExample], vocab: Vocab,
-                             max_seq_len: int, gazetteer=None):
-    if gazetteer is None:
-        gazetteer = build_gazetteer()
+                             max_seq_len: int):
+    gazetteer = build_gazetteer()
     pairs, labels, lf_ids = [], [], []
     for ex in examples:
         pair = encode_pair(
@@ -182,6 +181,14 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
     if not train_pairs or not val_pairs:
         raise TrainError("train and validation sets must be non-empty")
     config = apply_system(model_config, train_config.system)
+    if config.mode == "evidence":
+        labels = {p.meta["label"] for p in train_pairs}
+        if len(labels) < 2:
+            raise TrainError(
+                f"every evidence training pair has label {labels.pop()}: "
+                "one-sentence contexts (the sentence setting) yield no "
+                "negative sentences; train evidence mode on paragraph "
+                "contexts")
     params = mdl.init_params(config, train_config.seed)
     state = AdamState(lr=train_config.lr,
                       weight_decay=train_config.weight_decay)
@@ -252,10 +259,9 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
 
 
 def _validation_score(params, config, val_pairs) -> float:
-    if config.mode == "span":
-        report = evaluate_pairs(params, config, val_pairs)
-        return report.token_f1
     report = evaluate_pairs(params, config, val_pairs)
+    if config.mode == "span":
+        return report.token_f1
     return report.evidence.f1
 
 

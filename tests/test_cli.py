@@ -140,6 +140,61 @@ class TestTrainEval:
         assert code == 3
         assert "digest" in capsys.readouterr().err
 
+    def test_baseline_train_then_eval(self, workspace, tmp_path, capsys):
+        data, split = workspace / "data", workspace / "pl" / "split.json"
+        run = tmp_path / "baseline"
+        assert main(["train", "--data", str(data / "corpus.jsonl"),
+                     "--vocab", str(data / "vocab.txt"),
+                     "--split", str(split), "--system", "baseline",
+                     "--set", "model.hidden_dim=16", "--set", "model.layers=1",
+                     "--set", "model.heads=2", "--set", "model.entity_dim=8",
+                     "--set", "model.max_seq_len=48",
+                     "--set", "model.ffn_mult=2", "--set", "train.epochs=1",
+                     "--set", "train.batch_size=32",
+                     "--out", str(run)]) == 0
+        assert main(["eval", "--run", str(run),
+                     "--data", str(data / "corpus.jsonl"),
+                     "--vocab", str(data / "vocab.txt"),
+                     "--split", str(split)]) == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert 0.0 <= report["token_f1"] <= 1.0
+
+    def test_evidence_on_sentence_setting_exits_2(self, workspace, tmp_path,
+                                                  capsys):
+        # one-sentence contexts give every evidence pair label 1
+        data = workspace / "data"
+        code = main(["train", "--data", str(data / "corpus.jsonl"),
+                     "--vocab", str(data / "vocab.txt"),
+                     "--split", str(workspace / "pl" / "split.json"),
+                     "--system", "evidence",
+                     "--set", "model.hidden_dim=16", "--set", "model.layers=1",
+                     "--set", "model.heads=2", "--set", "model.entity_dim=8",
+                     "--set", "model.max_seq_len=48",
+                     "--set", "model.ffn_mult=2", "--set", "train.epochs=1",
+                     "--out", str(tmp_path / "evidence")])
+        assert code == 2
+        assert "one-sentence contexts" in capsys.readouterr().err
+
+    def test_checkpoint_of_other_system_exits_3(self, workspace, tmp_path,
+                                                capsys):
+        # a checkpoint whose parameter names differ from the system's,
+        # such as one written before unused parameters were dropped
+        import shutil
+        from entqa.checkpoint import load_checkpoint, save_checkpoint
+        from entqa.tensor import Tensor
+        bad = tmp_path / "bad_run"
+        shutil.copytree(workspace / "run", bad)
+        arrays, digest = load_checkpoint(bad / "model.ckpt")
+        arrays["ev.w"] = arrays["span.ws"]
+        save_checkpoint(bad / "model.ckpt",
+                        {k: Tensor(v) for k, v in arrays.items()}, digest)
+        code = main(["eval", "--run", str(bad),
+                     "--data", str(workspace / "data" / "corpus.jsonl"),
+                     "--vocab", str(workspace / "data" / "vocab.txt"),
+                     "--split", str(workspace / "pl" / "split.json")])
+        assert code == 3
+        assert "parameter name mismatch" in capsys.readouterr().err
+
     def test_unknown_config_key(self, workspace, capsys):
         code = main(["train", "--data",
                      str(workspace / "data" / "corpus.jsonl"),

@@ -5,6 +5,7 @@ from entqa import model as mdl
 from entqa import tensor as T
 from entqa.model import Batch, ModelConfig, decode_span, init_params
 from entqa.tensor import Tensor
+from entqa.trainer import SYSTEMS, apply_system
 
 
 @pytest.fixture(scope="module")
@@ -212,11 +213,11 @@ class TestHeadsAndLosses:
         expected = 0.2 * np.log(2) + 0.8 * np.log(2)
         assert parts.total.item() == pytest.approx(expected, abs=1e-12)
 
-    def test_evidence_chance_level(self, small_config, small_params):
+    def test_evidence_chance_level(self, small_config):
         rng = np.random.default_rng(10)
         config = mdl.ModelConfig(**{**small_config.__dict__, "mode": "evidence"})
         batch = make_batch(config, rng, b=8)
-        out = mdl.forward(small_params, config, batch)
+        out = mdl.forward(init_params(config, 0), config, batch)
         labels = rng.integers(0, 2, size=8)
         parts = mdl.evidence_loss(out, labels, batch.lf_ids, omega=0.0)
         assert parts.evidence == pytest.approx(np.log(2), abs=0.05)
@@ -228,6 +229,63 @@ class TestHeadsAndLosses:
         out = mdl.forward(small_params, small_config, batch)
         masked = out.start_logits.data[~batch.context_mask]
         assert (masked < -1e29).all()
+
+
+class TestParameterSets:
+    BLOCK = ("attn.wq", "attn.bq", "attn.wk", "attn.wv", "attn.bv",
+             "attn.wo", "attn.bo", "ln1.g", "ln1.b", "ln2.g", "ln2.b",
+             "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+
+    def _block(self, prefix):
+        return {f"{prefix}.{name}" for name in self.BLOCK}
+
+    def expected(self, system):
+        shared = ({"tok_emb", "seg_emb", "pos_emb", "enc_ln.g", "enc_ln.b",
+                   "fuse.wt", "fuse.b", "lf.w", "lf.b"}
+                  | self._block("enc0") | self._block("enc1"))
+        entity = ({"ent_emb", "ent_ln.g", "ent_ln.b", "fuse.we"}
+                  | self._block("ent0"))
+        span = {"span.ws", "span.bs", "span.we", "span.be"}
+        return {"baseline": shared | span,
+                "fused": shared | entity | span,
+                "multitask": shared | entity | span,
+                "evidence": shared | entity | {"ev.w", "ev.b"}}[system]
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_exact_names(self, small_config, system):
+        params = init_params(apply_system(small_config, system), seed=0)
+        assert set(params) == self.expected(system)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_kept_arrays_match_fused_draw(self, small_config, system):
+        fused = init_params(apply_system(small_config, "fused"), seed=5)
+        params = init_params(apply_system(small_config, system), seed=5)
+        for name in set(params) & set(fused):
+            np.testing.assert_array_equal(params[name].data,
+                                          fused[name].data, err_msg=name)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_every_parameter_gets_gradient(self, small_config, system):
+        config = apply_system(small_config, system)
+        params = init_params(config, seed=0)
+        rng = np.random.default_rng(16)
+        batch = make_batch(config, rng, b=4)
+        out = mdl.forward(params, config, batch)
+        if config.mode == "span":
+            parts = mdl.multitask_loss(out, batch.answer_start,
+                                       batch.answer_end, batch.lf_ids,
+                                       omega=config.omega)
+        else:
+            parts = mdl.evidence_loss(out, np.array([1, 0, 1, 0]),
+                                      batch.lf_ids, omega=config.omega)
+        parts.total.backward()
+        for name, p in params.items():
+            # the LF head stays built at omega = 0: evaluation reads its
+            # logits on every system
+            if config.omega == 0 and name.startswith("lf."):
+                assert p.grad is None or not p.grad.any(), name
+            else:
+                assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 
 
 class TestBaselineReduction:
@@ -242,6 +300,22 @@ class TestBaselineReduction:
         fused_off = mdl.forward(small_params, config_off, batch)
         np.testing.assert_array_equal(fused_on.fused.data,
                                       fused_off.fused.data)
+
+    def test_untagged_positions_ignore_fuse_we(self, small_config):
+        params = init_params(small_config, seed=2)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            batch = make_batch(small_config, rng)
+            batch.entity_ids[rng.random(batch.entity_ids.shape) < 0.5] = 0
+            untagged = (batch.entity_ids == 0) | ~batch.attention_mask
+            before = mdl.forward(params, small_config, batch).fused.data
+            perturbed = {**params, "fuse.we": Tensor(
+                params["fuse.we"].data
+                + rng.normal(0.0, 1.0, params["fuse.we"].shape))}
+            after = mdl.forward(perturbed, small_config, batch).fused.data
+            np.testing.assert_array_equal(before[untagged], after[untagged])
+            if (~untagged).any():
+                assert not np.array_equal(before[~untagged], after[~untagged])
 
 
 class TestDecodeSpan:
