@@ -8,6 +8,7 @@ character spans inside the evidence sentence.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections import Counter
@@ -117,8 +118,11 @@ SIGS = [
 ]
 
 
+@functools.cache
 def build_gazetteer() -> Gazetteer:
-    """Gazetteer over every slot surface form, keyed by semantic type."""
+    """Gazetteer over every slot surface form, keyed by semantic type.
+
+    Built once per process; every caller shares the instance."""
     entries: dict[str, str] = {}
     for m in MEDICATIONS:
         entries[m] = "clnd"
@@ -456,12 +460,7 @@ def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
             vals = _make_fact_values(kind, rng, used)
             tpls = SENTENCE_TEMPLATES[kind]
             tpl = tpls[rng.integers(len(tpls))]
-            answer_key = FACT_KINDS[kind][1]
-            # slot key inside the sentence template for the answer value
-            sent_key = {"dose": "dose", "sig": "sig", "symptom": "symptom",
-                        "problem": "problem", "treatment": "treatment",
-                        "medication": "medication"}[answer_key]
-            sent, span = _render(tpl, vals, sent_key)
+            sent, span = _render(tpl, vals, FACT_KINDS[kind][1])
             rendered.append((kind, vals, sent, span))
         if distractor_rate > 0:
             n_trials = max(1, round(2 * facts_per_note * distractor_rate
@@ -531,11 +530,10 @@ def _tags_as_lists(gazetteer: Gazetteer, text: str) -> list:
             for t in gazetteer.tag(text)]
 
 
-def instantiate_questions(notes: list[Note], templates: list[QuestionTemplate],
-                          gazetteer: Gazetteer | None = None) -> list[QAExample]:
+def instantiate_questions(notes: list[Note],
+                          templates: list[QuestionTemplate]) -> list[QAExample]:
     """Sentence-setting examples: one per (fact, compatible template)."""
-    if gazetteer is None:
-        gazetteer = build_gazetteer()
+    gazetteer = build_gazetteer()
     by_lf: dict[int, list[QuestionTemplate]] = {}
     for t in templates:
         by_lf.setdefault(t.lf_id, []).append(t)
@@ -543,7 +541,6 @@ def instantiate_questions(notes: list[Note], templates: list[QuestionTemplate],
     if missing:
         raise ConfigurationError(f"templates missing for LFs {sorted(missing)}")
     examples = []
-    skipped = 0
     for note in notes:
         for fi, fact in enumerate(note.facts):
             lf_id = KIND_TO_LF[fact.kind]
@@ -552,7 +549,6 @@ def instantiate_questions(notes: list[Note], templates: list[QuestionTemplate],
             sentence = note.sentences[fact.sentence_idx]
             for tpl in by_lf[lf_id]:
                 if tpl.slot != slot_name or slot_value is None:
-                    skipped += 1
                     continue
                 question = tpl.fill(slot_value)
                 cs, ce = fact.answer_char_span
@@ -575,7 +571,6 @@ def instantiate_questions(notes: list[Note], templates: list[QuestionTemplate],
 
 def build_paragraph_context(example: QAExample, note: Note,
                             rng: np.random.Generator,
-                            gazetteer: Gazetteer | None = None,
                             min_len: int = 15, max_len: int = 20) -> QAExample:
     """Paragraph-setting variant: the evidence sentence at a random offset
     inside a window of `l_para` sentences drawn from the note.
@@ -585,8 +580,6 @@ def build_paragraph_context(example: QAExample, note: Note,
     sentence, the evidence sentence, then l_para - l_pre - 1 after,
     padding with distractors where the note runs short.
     """
-    if gazetteer is None:
-        gazetteer = build_gazetteer()
     ev_sent = example.context_sentences[example.evidence_idx]
     ev_in_note = None
     for i, s in enumerate(note.sentences):
@@ -614,7 +607,7 @@ def build_paragraph_context(example: QAExample, note: Note,
         question_template_id=example.question_template_id, lf_id=example.lf_id,
         context_sentences=sentences, evidence_idx=l_pre, answer=answer,
         question_tags=example.question_tags,
-        context_tags=_tags_as_lists(gazetteer, " ".join(sentences)),
+        context_tags=_tags_as_lists(build_gazetteer(), " ".join(sentences)),
     )
     return out
 

@@ -307,15 +307,17 @@ class LossParts:
 def _mix_lf(outputs: HeadOutputs, main: Tensor, lf_ids,
             omega: float) -> tuple[Tensor, Tensor]:
     """(omega * L_lf + (1 - omega) * main, L_lf); L_lf is 0 without gold
-    logical-form ids, which only omega = 0 allows."""
+    logical-form ids, which only omega = 0 allows. At omega = 0 L_lf is only
+    logged: it is computed on a gradient-free view of the LF logits."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must be in [0, 1], got {omega}")
     if lf_ids is None and omega > 0:
         raise ValueError("omega > 0 requires gold logical-form ids")
-    if lf_ids is not None:
-        l_lf = T.softmax_cross_entropy(outputs.lf_logits, lf_ids)
-    else:
+    if lf_ids is None:
         l_lf = Tensor(0.0)
+    else:
+        logits = outputs.lf_logits if omega > 0 else Tensor(outputs.lf_logits.data)
+        l_lf = T.softmax_cross_entropy(logits, lf_ids)
     return omega * l_lf + (1.0 - omega) * main, l_lf
 
 

@@ -4,6 +4,13 @@ Just enough machinery to train a small transformer QA stack on CPU:
 elementwise arithmetic, stacked matmul, softmax, layer norm, GELU,
 embedding lookup, dropout and fused cross-entropy losses. No GPU, no
 broadcasting rules beyond what the model needs.
+
+Every op computes its forward value and hands ``Tensor._make`` one
+``(input, vjp)`` edge per tensor input, where ``vjp`` maps the output's
+gradient to that input's gradient. The vjp may return a gradient in the
+output's broadcast shape: ``Tensor.backward`` alone sums it down to the
+input's shape and accumulates it. Edges whose input needs no gradient are
+dropped when the op runs, so ops on constants record no graph.
 """
 
 from __future__ import annotations
@@ -42,19 +49,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A dense n-d float64 array with an optional gradient buffer.
 
-    Building ops on Tensors records a backward closure; calling
-    ``backward()`` on a scalar result fills ``grad`` on every
-    requires_grad tensor reachable from it.
+    A tensor built by an op keeps ``_edges``: the ``(input, vjp)`` pairs
+    of the inputs that require a gradient. ``backward()`` on a scalar
+    result walks the edges in reverse topological order and fills
+    ``grad`` on every requires_grad tensor reachable from it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_edges")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._edges = ()
 
     # -- structural helpers -------------------------------------------------
 
@@ -78,12 +85,11 @@ class Tensor:
         self.grad += g
 
     @staticmethod
-    def _make(data, parents, backward):
+    def _make(data, edges) -> "Tensor":
+        """The op result `data`; keeps the edges whose input needs a gradient."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        out._edges = tuple((t, vjp) for t, vjp in edges if t.requires_grad)
+        out.requires_grad = bool(out._edges)
         return out
 
     # -- autodiff ------------------------------------------------------------
@@ -105,13 +111,15 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+            for p, _ in node._edges:
+                if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=DTYPE))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node.grad is None:
+                continue
+            for p, vjp in node._edges:
+                p._accumulate(_unbroadcast(vjp(node.grad), p.data.shape))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -121,42 +129,16 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._coerce(other)
-        out_data = self.data + other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data + other.data,
+                            ((self, lambda g: g), (other, lambda g: g)))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        return self + (-Tensor._coerce(other))
-
-    def __rsub__(self, other):
-        return Tensor._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = Tensor._coerce(other)
-        out_data = self.data * other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data * other.data,
+                            ((self, lambda g: g * other.data),
+                             (other, lambda g: g * self.data)))
 
     __rmul__ = __mul__
 
@@ -167,80 +149,42 @@ class Tensor:
             raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul inner dims disagree: {a.shape} vs {b.shape}")
-        out_data = np.matmul(a, b)
-
-        def backward(g):
-            if self.requires_grad:
-                ga = np.matmul(g, b.swapaxes(-1, -2))
-                self._accumulate(_unbroadcast(ga, a.shape))
-            if other.requires_grad:
-                gb = np.matmul(a.swapaxes(-1, -2), g)
-                other._accumulate(_unbroadcast(gb, b.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(np.matmul(a, b),
+                            ((self, lambda g: np.matmul(g, b.swapaxes(-1, -2))),
+                             (other, lambda g: np.matmul(a.swapaxes(-1, -2), g))))
 
     __matmul__ = matmul
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
-        out_data = self.data.reshape(shape)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(old))
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(self.data.reshape(shape),
+                            ((self, lambda g: g.reshape(old)),))
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
-        out_data = self.data.swapaxes(a, b)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.swapaxes(a, b))
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(self.data.swapaxes(a, b),
+                            ((self, lambda g: g.swapaxes(a, b)),))
 
     def transpose(self, *axes) -> "Tensor":
-        if not axes:
-            axes = tuple(range(self.data.ndim))[::-1]
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
-        out_data = self.data.transpose(axes)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.transpose(inv))
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(self.data.transpose(axes),
+                            ((self, lambda g: g.transpose(inv)),))
 
     def __getitem__(self, idx) -> "Tensor":
-        out_data = self.data[idx]
+        def vjp(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, idx, g)
+            return full
 
-        def backward(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, idx, g)
-                self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(self.data[idx], ((self, vjp),))
 
     def sum(self, axis=None, keepdims=False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        def vjp(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, self.data.shape)
 
-        def backward(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims),
+                            ((self, vjp),))
 
     def mean(self, axis=None, keepdims=False) -> "Tensor":
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -257,28 +201,24 @@ def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out_data = xd * cdf
 
-    def backward(g):
-        if x.requires_grad:
-            pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-            x._accumulate(g * (cdf + xd * pdf))
+    def vjp(g):
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+        return g * (cdf + xd * pdf)
 
-    return Tensor._make(out_data, (x,), backward)
+    return Tensor._make(xd * cdf, ((x, vjp),))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along `axis`."""
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g):
-        if x.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accumulate(out_data * (g - dot))
+    def vjp(g):
+        return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
-    return Tensor._make(out_data, (x,), backward)
+    return Tensor._make(y, ((x, vjp),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -288,23 +228,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = xd.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
-    out_data = xhat * gain.data + bias.data
 
-    def backward(g):
-        n = xd.shape[-1]
+    def vjp_x(g):
         gy = g * gain.data
-        if x.requires_grad:
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (gy - m1 - xhat * m2))
-        if gain.requires_grad:
-            red = tuple(range(g.ndim - 1))
-            gain._accumulate((g * xhat).sum(axis=red))
-        if bias.requires_grad:
-            red = tuple(range(g.ndim - 1))
-            bias._accumulate(g.sum(axis=red))
+        m1 = gy.mean(axis=-1, keepdims=True)
+        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        return inv * (gy - m1 - xhat * m2)
 
-    return Tensor._make(out_data, (x, gain, bias), backward)
+    return Tensor._make(xhat * gain.data + bias.data,
+                        ((x, vjp_x), (gain, lambda g: g * xhat), (bias, lambda g: g)))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -315,15 +247,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"embedding id out of range [0, {table.data.shape[0]}): "
             f"min={ids.min()}, max={ids.max()}"
         )
-    out_data = table.data[ids]
 
-    def backward(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-            table._accumulate(full)
+    def vjp(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        return full
 
-    return Tensor._make(out_data, (table,), backward)
+    return Tensor._make(table.data[ids], ((table, vjp),))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tensor:
@@ -331,13 +261,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tenso
     if not train or p <= 0.0:
         return x
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    out_data = x.data * keep
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * keep)
-
-    return Tensor._make(out_data, (x,), backward)
+    return Tensor._make(x.data * keep, ((x, lambda g: g * keep),))
 
 
 # -- fused losses ------------------------------------------------------------
@@ -360,15 +284,13 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     z = ld - ld.max(axis=1, keepdims=True)
     logz = np.log(np.exp(z).sum(axis=1, keepdims=True))
     nll = logz[:, 0] - z[np.arange(n), targets]
-    out_data = nll.mean()
 
-    def backward(g):
-        if logits.requires_grad:
-            p = np.exp(z - logz)
-            p[np.arange(n), targets] -= 1.0
-            logits._accumulate(g * p / n)
+    def vjp(g):
+        p = np.exp(z - logz)
+        p[np.arange(n), targets] -= 1.0
+        return g * p / n
 
-    return Tensor._make(out_data, (logits,), backward)
+    return Tensor._make(nll.mean(), ((logits, vjp),))
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -379,14 +301,12 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
         raise ShapeError(f"logit/target shapes disagree: {ld.shape} vs {t.shape}")
     # log(1 + exp(-|x|)) form avoids overflow on large |x|
     loss = np.maximum(ld, 0.0) - ld * t + np.log1p(np.exp(-np.abs(ld)))
-    out_data = loss.mean()
 
-    def backward(g):
-        if logits.requires_grad:
-            sig = 1.0 / (1.0 + np.exp(-ld))
-            logits._accumulate((g * (sig - t) / ld.size).reshape(logits.data.shape))
+    def vjp(g):
+        sig = 1.0 / (1.0 + np.exp(-ld))
+        return (g * (sig - t) / ld.size).reshape(logits.data.shape)
 
-    return Tensor._make(out_data, (logits,), backward)
+    return Tensor._make(loss.mean(), ((logits, vjp),))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:

@@ -15,7 +15,7 @@ from . import model as mdl
 from .corpus import LOGICAL_FORMS, QAExample, build_gazetteer
 from .model import Batch, ModelConfig
 from .optim import AdamState, adam_step
-from .tensor import GradientError
+from .tensor import GradientError, Tensor
 from .textpipe import EntityTag, Vocab, encode_pair
 
 SYSTEMS = ("baseline", "fused", "multitask", "evidence")
@@ -81,8 +81,9 @@ def _tags(raw) -> list[EntityTag]:
 
 
 def encode_examples(examples: list[QAExample], vocab: Vocab,
-                    max_seq_len: int, drop_unanswerable: bool = True):
-    """Encode QA examples for span training; dropped ones are skipped."""
+                    max_seq_len: int):
+    """Encode QA examples for span training; questions whose answer lies
+    past the truncation are dropped."""
     pairs = []
     for ex in examples:
         pair = encode_pair(
@@ -92,7 +93,7 @@ def encode_examples(examples: list[QAExample], vocab: Vocab,
             answer_char_span=ex.answer_char_span_in_context())
         pair.meta = {"id": ex.id, "context": ex.context_text,
                      "gold": ex.answer["text"], "lf_id": ex.lf_id}
-        if drop_unanswerable and pair.answer_start_tok < 0:
+        if pair.answer_start_tok < 0:
             continue
         pairs.append(pair)
     return pairs
@@ -280,9 +281,13 @@ def _predicted_text(pair, start_tok: int, end_tok: int) -> str:
 def evaluate_pairs(params, config: ModelConfig, pairs,
                    include_lf: bool | None = None,
                    batch_size: int = 32) -> M.EvalReport:
-    """Greedy span decode (or evidence thresholding) plus LF argmax."""
+    """Greedy span decode (or evidence thresholding) plus LF argmax.
+
+    Forwards over gradient-free views of `params`, so no graph is recorded.
+    """
     if not pairs:
         raise TrainError("cannot evaluate an empty split")
+    params = {k: Tensor(p.data) for k, p in params.items()}
     if include_lf is None:
         include_lf = config.omega > 0
     ems, f1s = [], []

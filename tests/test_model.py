@@ -189,9 +189,14 @@ class TestHeadsAndLosses:
         for p in small_params.values():
             p.grad = None
         out = mdl.forward(small_params, small_config, batch)
-        mdl.multitask_loss(out, batch.answer_start, batch.answer_end,
-                           batch.lf_ids, omega=0.0).total.backward()
-        assert np.abs(small_params["lf.w"].grad).max() == 0.0
+        parts = mdl.multitask_loss(out, batch.answer_start, batch.answer_end,
+                                   batch.lf_ids, omega=0.0)
+        parts.total.backward()
+        # L_lf is still logged, but nothing flows back through the LF head
+        assert parts.lf == T.softmax_cross_entropy(out.lf_logits,
+                                                   batch.lf_ids).item()
+        assert small_params["lf.w"].grad is None
+        assert small_params["lf.b"].grad is None
         assert np.abs(small_params["span.ws"].grad).max() > 0.0
 
     def test_omega_one_gives_span_head_zero_grad(self, small_config,
@@ -283,7 +288,7 @@ class TestParameterSets:
             # the LF head stays built at omega = 0: evaluation reads its
             # logits on every system
             if config.omega == 0 and name.startswith("lf."):
-                assert p.grad is None or not p.grad.any(), name
+                assert p.grad is None, name
             else:
                 assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 

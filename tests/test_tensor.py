@@ -20,6 +20,92 @@ def numerical_grad(fn, x: np.ndarray, h=1e-6):
     return g
 
 
+# (id, input shapes, op over the input tensors); every op of the engine
+# appears, with broadcasting on both sides of + and *
+KEY_MASK = np.array([[True, True, False], [True, False, True]])
+OPS = [
+    ("add_trailing", [(2, 3, 4), (4,)], lambda a, b: a + b),
+    ("add_both_sides", [(2, 1, 4), (3, 1)], lambda a, b: a + b),
+    ("radd_scalar", [(2, 3)], lambda a: 2.0 + a),
+    ("mul_trailing", [(2, 3, 4), (4,)], lambda a, b: a * b),
+    ("mul_both_sides", [(2, 1, 4), (3, 1)], lambda a, b: a * b),
+    ("mul_self", [(3, 2)], lambda a: a * a),
+    ("matmul", [(4, 3), (3, 5)], lambda a, b: a.matmul(b)),
+    ("matmul_batched_2d_weight", [(2, 3, 4), (4, 5)], lambda a, b: a @ b),
+    ("matmul_batched_both", [(2, 3, 4), (2, 4, 5)], lambda a, b: a @ b),
+    ("reshape", [(2, 3, 4)], lambda a: a.reshape(6, 4)),
+    ("swapaxes", [(2, 3, 4)], lambda a: a.swapaxes(-1, -2)),
+    ("transpose", [(2, 3, 4)], lambda a: a.transpose(1, 2, 0)),
+    ("getitem_slice", [(3, 4)], lambda a: a[:, 1:3]),
+    ("getitem_repeated_fancy", [(3, 4)], lambda a: a[np.array([0, 2, 0, 0])]),
+    ("getitem_fancy_pairs", [(3, 4)],
+     lambda a: a[np.array([1, 1, 2]), np.array([0, 0, 3])]),
+    ("sum_all", [(2, 3, 4)], lambda a: a.sum()),
+    ("sum_axis", [(2, 3, 4)], lambda a: a.sum(axis=1)),
+    ("sum_axis_keepdims", [(2, 3, 4)], lambda a: a.sum(axis=-1, keepdims=True)),
+    ("sum_all_keepdims", [(2, 3)], lambda a: a.sum(keepdims=True)),
+    ("mean_axis", [(2, 3, 4)], lambda a: a.mean(axis=0)),
+    ("gelu", [(2, 5)], T.gelu),
+    ("softmax_last", [(2, 3, 4)], T.softmax),
+    ("softmax_axis0", [(3, 4)], lambda a: T.softmax(a, axis=0)),
+    ("layer_norm", [(2, 3, 5), (5,), (5,)], T.layer_norm),
+    ("embedding_repeated_ids", [(4, 3)],
+     lambda t: T.embedding(t, np.array([[0, 2, 0], [1, 1, 3]]))),
+    ("dropout_fixed_rng", [(3, 4)],
+     lambda a: T.dropout(a, 0.3, np.random.default_rng(0), train=True)),
+    ("softmax_cross_entropy", [(4, 5)],
+     lambda a: T.softmax_cross_entropy(a, np.array([0, 2, 4, 2]))),
+    ("bce_with_logits", [(2, 3)],
+     lambda a: T.binary_cross_entropy_with_logits(a, np.array([[0, 1, 1],
+                                                               [1, 0, 0]]))),
+    ("attention_key_mask", [(2, 3, 4)] * 3,
+     lambda q, k, v: T.attention(q, k, v, mask=KEY_MASK)),
+]
+OP_IDS = [case[0] for case in OPS]
+
+
+def _inputs(shapes, seed=11):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=s) for s in shapes]
+
+
+@pytest.mark.parametrize("name,shapes,op", OPS, ids=OP_IDS)
+def test_op_gradient_matches_finite_differences(name, shapes, op):
+    arrays = _inputs(shapes)
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*tensors)
+    # a random weighting keeps gradients like softmax's from cancelling
+    w = np.random.default_rng(12).normal(size=out.shape)
+    (out * Tensor(w)).sum().backward()
+
+    def loss():
+        return float((op(*[Tensor(a) for a in arrays]).data * w).sum())
+
+    for t, a in zip(tensors, arrays):
+        assert t.grad.shape == a.shape
+        np.testing.assert_allclose(t.grad, numerical_grad(loss, a),
+                                   rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("name,shapes,op", OPS, ids=OP_IDS)
+def test_op_on_constants_records_no_edges(name, shapes, op):
+    out = op(*[Tensor(a) for a in _inputs(shapes)])
+    assert out._edges == ()
+    assert not out.requires_grad
+
+
+@pytest.mark.parametrize("name,shapes,op",
+                         [case for case in OPS if len(case[1]) > 1],
+                         ids=[case[0] for case in OPS if len(case[1]) > 1])
+def test_backward_leaves_constant_grad_none(name, shapes, op):
+    for const in range(len(shapes)):
+        tensors = [Tensor(a, requires_grad=i != const)
+                   for i, a in enumerate(_inputs(shapes))]
+        op(*tensors).sum().backward()
+        for i, t in enumerate(tensors):
+            assert (t.grad is None) == (i == const), (const, i)
+
+
 class TestMatmul:
     def test_identity(self):
         b = np.random.default_rng(0).normal(size=(3, 5))
@@ -218,8 +304,9 @@ class TestGradcheck:
 
         def bad_loss():
             out = w.sum()
-            # corrupt the recorded backward
-            out._backward = lambda g: w._accumulate(np.full((2, 2), 2.0) * g)
+            # corrupt the recorded edge
+            ((inp, _),) = out._edges
+            out._edges = ((inp, lambda g: np.full((2, 2), 2.0) * g),)
             return out
 
         report = T.gradcheck(bad_loss, {"w": w}, tolerance=1e-6)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from entqa import model as mdl
 from entqa import trainer as tr
 from entqa.corpus import build_templates, generate_corpus, instantiate_questions
 from entqa.model import ModelConfig
@@ -221,6 +222,32 @@ class TestEvaluatePairs:
         report = tr.evaluate_pairs(result.params, result.model_config,
                                    pairs[16:20])
         assert report.lf_exact is None
+
+    def test_records_no_graph(self, monkeypatch):
+        examples, vocab = tiny_dataset()
+        pairs = encode_examples(examples, vocab, 48)[:20]
+        config = apply_system(tiny_model(vocab), "multitask")
+        params = mdl.init_params(config, 0)
+        forward = mdl.forward
+        seen = []
+
+        def recording(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            seen.extend(t for t in vars(out).values() if t is not None)
+            return out
+
+        monkeypatch.setattr(mdl, "forward", recording)
+        report = tr.evaluate_pairs(params, config, pairs, batch_size=8)
+        assert len(seen) == 3 * 4  # fused, LF, start and end per batch
+        assert not any(t.requires_grad for t in seen)
+
+        # the same evaluation over the gradient-requiring parameters
+        seen.clear()
+        monkeypatch.setattr(mdl, "forward", lambda _views, *args, **kwargs:
+                            recording(params, *args, **kwargs))
+        reference = tr.evaluate_pairs(params, config, pairs, batch_size=8)
+        assert all(t.requires_grad for t in seen)
+        assert report == reference
 
 
 class TestFormatMatrix:
