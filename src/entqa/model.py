@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -91,6 +91,20 @@ class Batch:
     answer_end: np.ndarray | None = None
     lf_ids: np.ndarray | None = None
     evidence_labels: np.ndarray | None = None
+
+    def take(self, idxs) -> "Batch":
+        """Rows `idxs`, with every [B, L] field cut after the last position
+        any of them attends to. Real positions are a prefix of each row, so
+        the cut keeps the longest real row and drops only padding."""
+        idxs = np.asarray(idxs)
+        width = int(np.flatnonzero(self.attention_mask[idxs].any(axis=0))[-1]) + 1
+        rows = {}
+        for f in fields(self):
+            a = getattr(self, f.name)
+            if a is not None:
+                a = a[idxs, :width] if a.ndim == 2 else a[idxs]
+            rows[f.name] = a
+        return Batch(**rows)
 
 
 def make_batch(pairs: list[EncodedPair], lf_ids=None, evidence_labels=None) -> Batch:
@@ -208,7 +222,16 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
-def _attn_block(x: Tensor, params, prefix, heads, mask, drop, rng, train):
+def _dropout(x: Tensor, config: ModelConfig, rng, train) -> Tensor:
+    """Dropout over [B, L, d] with the mask drawn at max_seq_len positions
+    and cut to L: a trimmed batch's real positions get the masks they would
+    get at full width, so seeded runs do not depend on the trimming."""
+    b, _, d = x.shape
+    return T.dropout(x, config.dropout, rng, train,
+                     draw_shape=(b, config.max_seq_len, d))
+
+
+def _attn_block(x: Tensor, params, prefix, heads, mask, config, rng, train):
     xn = T.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     q = _split_heads(xn.matmul(params[f"{prefix}.attn.wq"])
                      + params[f"{prefix}.attn.bq"], heads)
@@ -219,11 +242,11 @@ def _attn_block(x: Tensor, params, prefix, heads, mask, drop, rng, train):
     att = T.attention(q, k, v, mask=mask[:, None, :])
     out = _merge_heads(att).matmul(params[f"{prefix}.attn.wo"]) \
         + params[f"{prefix}.attn.bo"]
-    x = x + T.dropout(out, drop, rng, train)
+    x = x + _dropout(out, config, rng, train)
     xn2 = T.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     h = T.gelu(xn2.matmul(params[f"{prefix}.ffn.w1"]) + params[f"{prefix}.ffn.b1"])
     h = h.matmul(params[f"{prefix}.ffn.w2"]) + params[f"{prefix}.ffn.b2"]
-    return x + T.dropout(h, drop, rng, train)
+    return x + _dropout(h, config, rng, train)
 
 
 def encode_tokens(params, config: ModelConfig, batch: Batch,
@@ -238,10 +261,10 @@ def encode_tokens(params, config: ModelConfig, batch: Batch,
     x = T.embedding(params["tok_emb"], batch.token_ids) \
         + T.embedding(params["seg_emb"], batch.segment_ids) \
         + params["pos_emb"][:L]
-    x = T.dropout(x, config.dropout, rng, train)
+    x = _dropout(x, config, rng, train)
     for i in range(config.layers):
         x = _attn_block(x, params, f"enc{i}", config.heads,
-                        batch.attention_mask, config.dropout, rng, train)
+                        batch.attention_mask, config, rng, train)
     return T.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
 
 
@@ -253,7 +276,7 @@ def encode_entities(params, config: ModelConfig, batch: Batch,
     x = T.embedding(params["ent_emb"], batch.entity_ids)
     for i in range(config.entity_attention_layers):
         x = _attn_block(x, params, f"ent{i}", config.entity_heads,
-                        batch.attention_mask, config.dropout, rng, train)
+                        batch.attention_mask, config, rng, train)
     return T.layer_norm(x, params["ent_ln.g"], params["ent_ln.b"])
 
 

@@ -80,9 +80,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g: np.ndarray):
+        # adopt the first gradient, copied only when not C-contiguous (as a
+        # broadcast view is); `g` may be shared with another node, so
+        # neither it nor the adopted buffer is ever written in place
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.asarray(g, order="C")
+        else:
+            self.grad = self.grad + g
 
     @staticmethod
     def _make(data, edges) -> "Tensor":
@@ -256,11 +260,18 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._make(table.data[ids], ((table, vjp),))
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
+            draw_shape: tuple | None = None) -> Tensor:
+    """Inverted dropout; identity when not training or p == 0.
+
+    The mask is drawn at `draw_shape` (default: x's shape) and its leading
+    corner of x's shape is used, so an entry's mask does not depend on how
+    far x was cut short of `draw_shape`.
+    """
     if not train or p <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    draw = rng.random(draw_shape or x.data.shape)
+    keep = (draw[tuple(slice(n) for n in x.data.shape)] >= p) / (1.0 - p)
     return Tensor._make(x.data * keep, ((x, lambda g: g * keep),))
 
 

@@ -140,13 +140,17 @@ def encode_evidence_examples(examples: list[EvidenceExample], vocab: Vocab,
     return pairs, np.array(labels), np.array(lf_ids)
 
 
-def _slice_batch(pairs, idxs) -> Batch:
-    chosen = [pairs[i] for i in idxs]
-    lf_ids = [p.meta["lf_id"] for p in chosen]
-    labels = [p.meta.get("label") for p in chosen]
-    has_labels = all(v is not None for v in labels)
-    return mdl.make_batch(chosen, lf_ids=lf_ids,
-                          evidence_labels=labels if has_labels else None)
+def _pack(pairs) -> Batch:
+    """All pairs as one full-width batch carrying their gold logical-form
+    ids and, when every pair has one, their evidence labels."""
+    labels = [p.meta.get("label") for p in pairs]
+    return mdl.make_batch(pairs, lf_ids=[p.meta["lf_id"] for p in pairs],
+                          evidence_labels=None if None in labels else labels)
+
+
+def _slice_batch(packed: Batch, idxs) -> Batch:
+    """Rows `idxs` of a packed batch, trimmed to their longest real row."""
+    return packed.take(idxs)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +186,9 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
     if not train_pairs or not val_pairs:
         raise TrainError("train and validation sets must be non-empty")
     config = apply_system(model_config, train_config.system)
+    packed = _pack(train_pairs)
     if config.mode == "evidence":
-        labels = {p.meta["label"] for p in train_pairs}
+        labels = set(packed.evidence_labels.tolist())
         if len(labels) < 2:
             raise TrainError(
                 f"every evidence training pair has label {labels.pop()}: "
@@ -209,7 +214,7 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
         for _epoch in range(train_config.epochs):
             order = shuffle_rng.permutation(n)
             for b0 in range(0, n, bs):
-                batch = _slice_batch(train_pairs, order[b0:b0 + bs])
+                batch = _slice_batch(packed, order[b0:b0 + bs])
                 lr = lr_at(step, total_steps, train_config)
                 out = mdl.forward(params, config, batch, train=True,
                                   rng=drop_rng)
@@ -237,7 +242,8 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
                     return result
                 entry = {"step": step, "lr": lr, "L_span": parts.span,
                          "L_lf": parts.lf, "L_evidence": parts.evidence,
-                         "L_total": total}
+                         "L_total": total,
+                         "pad_frac": 1.0 - float(batch.attention_mask.mean())}
                 result.log.append(entry)
                 if log_fh:
                     log_fh.write(json.dumps(entry) + "\n")
@@ -294,33 +300,32 @@ def evaluate_pairs(params, config: ModelConfig, pairs,
     lf_preds, lf_golds = [], []
     ev_preds, ev_golds = [], []
     per_lf: dict[int, dict] = {}
+    packed = _pack(pairs)
     for b0 in range(0, len(pairs), batch_size):
-        chosen = pairs[b0:b0 + batch_size]
-        batch = _slice_batch(pairs, range(b0, min(b0 + batch_size, len(pairs))))
+        batch = _slice_batch(packed, range(b0, min(b0 + batch_size, len(pairs))))
         out = mdl.forward(params, config, batch, train=False)
+        gold_lfs = batch.lf_ids.tolist()
         if include_lf:
-            lf_hat = out.lf_logits.data.argmax(axis=1)
-        for i, pair in enumerate(chosen):
-            gold_lf = pair.meta["lf_id"]
-            if include_lf:
-                lf_preds.append(int(lf_hat[i]))
-                lf_golds.append(gold_lf)
-            if config.mode == "span":
-                s, e = mdl.decode_span(
-                    out.start_logits.data[i], out.end_logits.data[i],
-                    batch.context_mask[i], config.max_answer_len)
-                pred = _predicted_text(pair, s, e)
-                em = M.span_em(pred, pair.meta["gold"])
-                f1 = M.token_f1(pred, pair.meta["gold"])
-                ems.append(em)
-                f1s.append(f1)
-                slot = per_lf.setdefault(gold_lf, {"em": 0.0, "f1": 0.0, "n": 0})
-                slot["em"] += em
-                slot["f1"] += f1
-                slot["n"] += 1
-            else:
-                ev_preds.append(int(out.evidence_logit.data[i] > 0))
-                ev_golds.append(pair.meta["label"])
+            lf_preds += out.lf_logits.data.argmax(axis=1).tolist()
+            lf_golds += gold_lfs
+        if config.mode != "span":
+            ev_preds += (out.evidence_logit.data > 0).astype(int).tolist()
+            ev_golds += batch.evidence_labels.tolist()
+            continue
+        for i, (pair, gold_lf) in enumerate(zip(pairs[b0:b0 + batch_size],
+                                                gold_lfs)):
+            s, e = mdl.decode_span(
+                out.start_logits.data[i], out.end_logits.data[i],
+                batch.context_mask[i], config.max_answer_len)
+            pred = _predicted_text(pair, s, e)
+            em = M.span_em(pred, pair.meta["gold"])
+            f1 = M.token_f1(pred, pair.meta["gold"])
+            ems.append(em)
+            f1s.append(f1)
+            slot = per_lf.setdefault(gold_lf, {"em": 0.0, "f1": 0.0, "n": 0})
+            slot["em"] += em
+            slot["f1"] += f1
+            slot["n"] += 1
     report = M.EvalReport(n_examples=len(pairs))
     if config.mode == "span":
         report.em = float(np.mean(ems))

@@ -244,7 +244,7 @@ def test_criterion_5_overfit_sanity():
                                                    "dropout": 0.0})
     params = mdl.init_params(config, seed=0)
     state = AdamState(lr=1e-3, weight_decay=0.0)
-    batch = tr._slice_batch(pairs, range(8))
+    batch = tr._slice_batch(tr._pack(pairs), range(8))
     solved_at = None
     for step in range(300):
         out = mdl.forward(params, config, batch, train=False)

@@ -1,0 +1,32 @@
+"""The benchmark's traced mode (`perfbench/run.py --trace 1`) wraps entqa
+functions by module and attribute name; each one must still exist, or a
+rename would break tracing without failing any other test."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from entqa import checkpoint, corpus, metrics, model, splits, tensor, trainer
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# the owners the benchmark hands to Tracer.install
+OWNERS = {"corpus": corpus, "splits": splits, "trainer": trainer,
+          "model": model, "tensor": tensor, "Tensor": tensor.Tensor,
+          "metrics": metrics, "checkpoint": checkpoint}
+
+
+def _targets():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+@pytest.mark.parametrize("owner,attr", [(o, a) for o, a, _ in _targets()],
+                         ids=lambda v: v)
+def test_tracer_target_exists(owner, attr):
+    assert owner in OWNERS, f"tracer wraps an attribute of unknown {owner!r}"
+    assert callable(getattr(OWNERS[owner], attr, None)), \
+        f"{owner}.{attr} is gone; the traced benchmark run would fail"

@@ -106,6 +106,22 @@ def test_backward_leaves_constant_grad_none(name, shapes, op):
             assert (t.grad is None) == (i == const), (const, i)
 
 
+def test_adopted_gradient_is_never_written_in_place():
+    # `a + b` hands both inputs the same gradient array, which each adopts;
+    # a's second gradient must not leak into b's
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    ((a + b) + a * 2.0).sum().backward()
+    np.testing.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+def test_scalar_gradient_keeps_its_shape():
+    x = Tensor(2.0, requires_grad=True)
+    (x * x).backward()
+    assert x.grad.shape == () and x.grad == 4.0
+
+
 class TestMatmul:
     def test_identity(self):
         b = np.random.default_rng(0).normal(size=(3, 5))
@@ -319,6 +335,14 @@ class TestDeterminism:
         a = T.dropout(x, 0.5, np.random.default_rng(0), train=True).data
         b = T.dropout(x, 0.5, np.random.default_rng(0), train=True).data
         np.testing.assert_array_equal(a, b)
+
+    def test_dropout_cut_from_wider_draw(self):
+        x = Tensor(np.ones((2, 5, 3)))
+        wide = T.dropout(Tensor(np.ones((2, 8, 3))), 0.5,
+                         np.random.default_rng(0), train=True).data
+        cut = T.dropout(x, 0.5, np.random.default_rng(0), train=True,
+                        draw_shape=(2, 8, 3)).data
+        np.testing.assert_array_equal(cut, wide[:, :5])
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((4, 4)))

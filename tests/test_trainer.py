@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -163,7 +164,8 @@ class TestTrainLoop:
         entries = [json.loads(line) for line in log_path.read_text().split("\n")
                    if line]
         assert len(entries) == len(result.log)
-        assert {"step", "lr", "L_span", "L_lf", "L_total"} <= set(entries[0])
+        assert {"step", "lr", "L_span", "L_lf", "L_total",
+                "pad_frac"} <= set(entries[0])
 
     def test_loss_decreases(self):
         result = self._run(epochs=6, lr=1e-3, patience=10)
@@ -195,6 +197,126 @@ class TestTrainLoop:
                                    system="evidence"))
         assert result.model_config.mode == "evidence"
         assert all(e["L_evidence"] is not None for e in result.log)
+
+
+def _untrimmed(packed, idxs):
+    """Rows `idxs` of a packed batch at full width."""
+    return mdl.Batch(**{f.name: None if getattr(packed, f.name) is None
+                        else getattr(packed, f.name)[np.asarray(idxs)]
+                        for f in fields(packed)})
+
+
+class TestTrimmedBatches:
+    """Batches are cut to their longest real row; nothing real may change."""
+
+    def _pairs(self):
+        examples, vocab = tiny_dataset()
+        return encode_examples(examples, vocab, 48), vocab
+
+    def _evidence_pairs(self):
+        examples, vocab = paragraph_dataset()
+        evs = make_evidence_examples(examples, np.random.default_rng(2))
+        return encode_evidence_examples(evs, vocab, 48)[0], vocab
+
+    @pytest.mark.parametrize("kind", ["span", "evidence"])
+    def test_slice_is_full_width_batch_cut_to_longest_row(self, kind):
+        pairs, _ = self._pairs() if kind == "span" else self._evidence_pairs()
+        packed = tr._pack(pairs)
+        rng = np.random.default_rng(0)
+        widths = set()
+        for size in (1, 3, 8, len(pairs)):
+            idxs = rng.choice(len(pairs), size=size, replace=False)
+            chosen = [pairs[i] for i in idxs]
+            full = mdl.make_batch(
+                chosen, lf_ids=[p.meta["lf_id"] for p in chosen],
+                evidence_labels=([p.meta["label"] for p in chosen]
+                                 if kind == "evidence" else None))
+            batch = tr._slice_batch(packed, idxs)
+            width = int(full.attention_mask.sum(axis=1).max())
+            widths.add(width)
+            assert batch.token_ids.shape == (size, width)
+            assert not full.attention_mask[:, width:].any()
+            for f in fields(full):
+                a, b = getattr(full, f.name), getattr(batch, f.name)
+                if a is None:
+                    assert b is None
+                elif a.ndim == 2:
+                    np.testing.assert_array_equal(b, a[:, :width])
+                else:
+                    np.testing.assert_array_equal(b, a)
+        assert min(widths) < 48
+
+    @pytest.mark.parametrize("system", ["baseline", "multitask", "evidence"])
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_forward_matches_full_width_twin(self, system, train_mode):
+        pairs, vocab = (self._evidence_pairs() if system == "evidence"
+                        else self._pairs())
+        config = apply_system(tiny_model(vocab, dropout=0.1), system)
+        params = mdl.init_params(config, 0)
+        idxs = np.arange(8)
+        batch = tr._slice_batch(tr._pack(pairs), idxs)
+        full = _untrimmed(tr._pack(pairs), idxs)
+        w = batch.token_ids.shape[1]
+        assert w < full.token_ids.shape[1]
+        out = mdl.forward(params, config, batch, train=train_mode,
+                          rng=np.random.default_rng(3))
+        ref = mdl.forward(params, config, full, train=train_mode,
+                          rng=np.random.default_rng(3))
+        real = batch.attention_mask
+        np.testing.assert_allclose(out.fused.data[real],
+                                   ref.fused.data[:, :w][real], atol=1e-9)
+        np.testing.assert_allclose(out.lf_logits.data, ref.lf_logits.data,
+                                   atol=1e-9)
+        if system == "evidence":
+            np.testing.assert_allclose(out.evidence_logit.data,
+                                       ref.evidence_logit.data, atol=1e-9)
+        else:
+            for name in ("start_logits", "end_logits"):
+                np.testing.assert_allclose(
+                    getattr(out, name).data[real],
+                    getattr(ref, name).data[:, :w][real], atol=1e-9)
+
+    def test_padded_ids_do_not_matter(self):
+        pairs, vocab = self._pairs()
+        config = apply_system(tiny_model(vocab), "multitask")
+        params = mdl.init_params(config, 0)
+        batch = _untrimmed(tr._pack(pairs), np.arange(8))
+        rng = np.random.default_rng(4)
+        pad = ~batch.attention_mask
+        noisy = replace(
+            batch,
+            token_ids=np.where(pad, rng.integers(0, config.vocab_size, pad.shape),
+                               batch.token_ids),
+            entity_ids=np.where(
+                pad, rng.integers(1, config.entity_vocab_size, pad.shape),
+                batch.entity_ids))
+        assert (noisy.token_ids != batch.token_ids).any()
+        out = mdl.forward(params, config, noisy)
+        ref = mdl.forward(params, config, batch)
+        real = batch.attention_mask
+        for name in ("start_logits", "end_logits"):
+            np.testing.assert_allclose(getattr(out, name).data[real],
+                                       getattr(ref, name).data[real],
+                                       atol=1e-9)
+        np.testing.assert_allclose(out.lf_logits.data, ref.lf_logits.data,
+                                   atol=1e-9)
+
+    def test_training_matches_untrimmed_batches(self, monkeypatch):
+        pairs, vocab = self._pairs()
+        config = tiny_model(vocab, dropout=0.1)
+        tc = TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=3,
+                         system="multitask")
+        trimmed = train(pairs[:24], pairs[24:32], config, tc)
+        monkeypatch.setattr(tr, "_slice_batch", _untrimmed)
+        full = train(pairs[:24], pairs[24:32], config, tc)
+        assert len(trimmed.log) == len(full.log) == 6
+        for a, b in zip(trimmed.log, full.log):
+            assert abs(a["L_total"] - b["L_total"]) <= 1e-12
+            assert 0.0 <= a["pad_frac"] < b["pad_frac"] < 1.0
+        for k, p in trimmed.params.items():
+            np.testing.assert_allclose(p.data, full.params[k].data, rtol=0,
+                                       atol=1e-9)
+        assert trimmed.best_val_f1 == full.best_val_f1
 
 
 class TestEvaluatePairs:
