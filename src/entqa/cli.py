@@ -198,6 +198,14 @@ def _build_train_config(overrides: dict, **base) -> TrainConfig:
     return _apply_prefixed(TrainConfig, "train", overrides, **base)
 
 
+def _encode(examples, mode: str, vocab, max_seq_len: int, rng):
+    """Span pairs, or evidence pairs whose negatives are drawn from `rng`."""
+    if mode == "evidence":
+        return tr.encode_evidence_examples(
+            tr.make_evidence_examples(examples, rng), vocab, max_seq_len)[0]
+    return tr.encode_examples(examples, vocab, max_seq_len)
+
+
 def cmd_train(args) -> int:
     overrides = load_overrides(args.config, args.set)
     examples = _load_examples(args.data)
@@ -208,19 +216,10 @@ def cmd_train(args) -> int:
     train_ex, val_ex, _ = _resolve_split(args, examples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if train_config.system == "evidence":
-        rng = np.random.default_rng(train_config.seed + 3)
-        train_pairs, _, _ = tr.encode_evidence_examples(
-            tr.make_evidence_examples(train_ex, rng), vocab,
-            model_config.max_seq_len)
-        val_pairs, _, _ = tr.encode_evidence_examples(
-            tr.make_evidence_examples(val_ex, rng), vocab,
-            model_config.max_seq_len)
-    else:
-        train_pairs = tr.encode_examples(train_ex, vocab,
-                                         model_config.max_seq_len)
-        val_pairs = tr.encode_examples(val_ex, vocab,
-                                       model_config.max_seq_len)
+    mode = "evidence" if train_config.system == "evidence" else "span"
+    rng = np.random.default_rng(train_config.seed + 3)
+    train_pairs = _encode(train_ex, mode, vocab, model_config.max_seq_len, rng)
+    val_pairs = _encode(val_ex, mode, vocab, model_config.max_seq_len, rng)
     result = tr.train(train_pairs, val_pairs, model_config, train_config,
                       log_path=out / "train_log.jsonl")
     result.model_config.save(out / "model_config.json")
@@ -256,13 +255,8 @@ def cmd_eval(args) -> int:
     vocab = Vocab.load(args.vocab)
     parts = dict(zip(("train", "val", "test"),
                      _resolve_split(args, examples)))
-    chosen = parts[args.subset]
-    if config.mode == "evidence":
-        rng = np.random.default_rng(args.seed)
-        pairs, _, _ = tr.encode_evidence_examples(
-            tr.make_evidence_examples(chosen, rng), vocab, config.max_seq_len)
-    else:
-        pairs = tr.encode_examples(chosen, vocab, config.max_seq_len)
+    pairs = _encode(parts[args.subset], config.mode, vocab,
+                    config.max_seq_len, np.random.default_rng(args.seed))
     report = tr.evaluate_pairs(params, config, pairs)
     if args.out:
         out = Path(args.out)

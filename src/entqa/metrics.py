@@ -55,39 +55,34 @@ class PRF:
     f1: float = 0.0
 
 
-def _prf_from_counts(tp: float, fp: float, fn: float) -> PRF:
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    f = 2 * p * r / (p + r) if p + r else 0.0
-    return PRF(p, r, f)
+def _confusion(preds, golds, num_classes: int) -> np.ndarray:
+    """Counts with gold classes as rows and predicted classes as columns."""
+    n = num_classes
+    cells = np.asarray(golds, dtype=np.int64) * n + np.asarray(preds, np.int64)
+    return np.bincount(cells, minlength=n * n).reshape(n, n)
 
 
-def _per_class_prf(preds, golds, classes) -> tuple[dict, dict]:
-    support = Counter(golds)
-    per_class = {}
-    for c in classes:
-        tp = sum(1 for p, g in zip(preds, golds) if p == c and g == c)
-        fp = sum(1 for p, g in zip(preds, golds) if p == c and g != c)
-        fn = sum(1 for p, g in zip(preds, golds) if p != c and g == c)
-        per_class[c] = _prf_from_counts(tp, fp, fn)
-    return per_class, support
+# The scores below call `_confusion`, so a wrapper put around the public
+# name (a tracing profiler) sees no nested calls.
+confusion_matrix = _confusion
 
 
-def _averaged(per_class: dict, support: Counter, weighted: bool) -> PRF:
-    classes = [c for c in per_class if support[c] > 0] if weighted \
-        else list(per_class)
-    if not classes:
-        return PRF()
+def _class_scores(preds, golds, num_classes: int, weighted: bool) -> PRF:
+    """Per-class P/R/F1 read off the confusion matrix (tp on the diagonal,
+    predicted counts in the column sums, support in the row sums), then
+    averaged in class order with support or uniform weights."""
+    m = _confusion(preds, golds, num_classes)
+    tp = np.diag(m).astype(float)
+    predicted, support = m.sum(axis=0), m.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(predicted > 0, tp / predicted, 0.0)
+        r = np.where(support > 0, tp / support, 0.0)
+        f = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
     if weighted:
-        total = sum(support[c] for c in classes)
-        w = {c: support[c] / total for c in classes}
+        w = support / support.sum()
     else:
-        w = {c: 1.0 / len(classes) for c in classes}
-    return PRF(
-        precision=sum(w[c] * per_class[c].precision for c in classes),
-        recall=sum(w[c] * per_class[c].recall for c in classes),
-        f1=sum(w[c] * per_class[c].f1 for c in classes),
-    )
+        w = np.full(num_classes, 1.0 / num_classes)
+    return PRF(*(sum((w * v).tolist()) for v in (p, r, f)))
 
 
 def lf_exact_scores(preds, golds, num_classes: int | None = None,
@@ -101,10 +96,9 @@ def lf_exact_scores(preds, golds, num_classes: int | None = None,
     if num_classes is None:
         num_classes = len(LOGICAL_FORMS)
     for v in list(preds) + list(golds):
-        if not 0 <= v < num_classes:
+        if v not in range(num_classes):
             raise MetricError(f"unknown class id {v}")
-    per_class, support = _per_class_prf(preds, golds, range(num_classes))
-    return _averaged(per_class, support, weighted)
+    return _class_scores(preds, golds, num_classes, weighted)
 
 
 def lf_relaxed_scores(preds, golds, lf_inventory=None) -> PRF:
@@ -140,15 +134,7 @@ def evidence_scores(pred_labels, gold_labels, weighted: bool = True) -> PRF:
     for v in list(preds) + list(golds):
         if v not in (0, 1):
             raise MetricError(f"evidence label must be 0 or 1, got {v}")
-    per_class, support = _per_class_prf(preds, golds, (0, 1))
-    return _averaged(per_class, support, weighted)
-
-
-def confusion_matrix(preds, golds, num_classes: int) -> np.ndarray:
-    m = np.zeros((num_classes, num_classes), dtype=int)
-    for p, g in zip(preds, golds):
-        m[g, p] += 1
-    return m
+    return _class_scores(preds, golds, 2, weighted)
 
 
 @dataclass

@@ -373,21 +373,26 @@ class DecodeError(ValueError):
 
 
 def decode_span(start_logits: np.ndarray, end_logits: np.ndarray,
-                context_mask: np.ndarray, max_answer_len: int) -> tuple[int, int]:
-    """Best (start, end) with start <= end, span length <= max_answer_len
-    and both endpoints inside the context."""
-    valid = np.flatnonzero(context_mask)
-    if valid.size == 0:
+                context_mask: np.ndarray,
+                max_answer_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best (start, end) of every row of a [B, L] batch, with
+    start <= end < start + max_answer_len and both inside the context.
+
+    One argmax over the band scores[b, i, k] = start[b, i] + end[b, i + k],
+    k < max_answer_len; ties go to the first (start, end) in row-major order.
+    Returns [B] start and end index arrays.
+    """
+    if not context_mask.any(axis=1).all():
         raise DecodeError("empty context mask")
+    B, L = context_mask.shape
+    width = min(max_answer_len, L)
     s = np.where(context_mask, start_logits, -np.inf)
-    e = np.where(context_mask, end_logits, -np.inf)
-    scores = s[:, None] + e[None, :]
-    L = len(s)
-    ii, jj = np.indices((L, L))
-    invalid = (jj < ii) | (jj - ii + 1 > max_answer_len)
-    scores[invalid] = -np.inf
-    flat = int(np.argmax(scores))
-    return flat // L, flat % L
+    e = np.concatenate([np.where(context_mask, end_logits, -np.inf),
+                        np.full((B, width - 1), -np.inf)], axis=1)
+    ends = np.arange(L)[:, None] + np.arange(width)
+    flat = (s[:, :, None] + e[:, ends]).reshape(B, -1).argmax(axis=1)
+    starts = flat // width
+    return starts, starts + flat % width
 
 
 # ---------------------------------------------------------------------------

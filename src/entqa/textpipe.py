@@ -148,7 +148,6 @@ class EncodedPair:
     token_offsets: list           # (start, end) into context text, or None
     answer_start_tok: int = -1
     answer_end_tok: int = -1
-    dropped: bool = False
     meta: dict = field(default_factory=dict)
 
 
@@ -170,7 +169,7 @@ def encode_pair(question: str, context: str, vocab: Vocab, max_seq_len: int,
 
     The question is never truncated: if it alone exceeds the budget an
     EncodingError is raised. An answer whose tokens fall past the
-    truncation point yields sentinel -1 spans and dropped=True.
+    truncation point yields sentinel -1 start and end positions.
     """
     q_toks = tokenize(question)
     c_toks = tokenize(context)
@@ -208,21 +207,18 @@ def encode_pair(question: str, context: str, vocab: Vocab, max_seq_len: int,
             context_mask[pos] = True
 
     ans_start = ans_end = -1
-    dropped = False
     if answer_char_span is not None:
         a0, a1 = answer_char_span
         if not (0 <= a0 < a1 <= len(context)):
             raise EncodingError(f"answer span ({a0}, {a1}) outside context")
         hit = [i for i, (_, s, e) in enumerate(c_kept) if s < a1 and e > a0]
         full_hit = [i for i, (_, s, e) in enumerate(c_toks) if s < a1 and e > a0]
-        if hit and len(hit) == len(full_hit):
+        if hit and len(hit) == len(full_hit):  # else lost to truncation
             ans_start = ctx_start + hit[0]
             ans_end = ctx_start + hit[-1]
-        else:
-            dropped = True  # answer lost to truncation
 
     return EncodedPair(
         token_ids=token_ids, segment_ids=segment_ids,
         attention_mask=attention_mask, entity_ids=entity_ids,
         context_mask=context_mask, token_offsets=token_offsets,
-        answer_start_tok=ans_start, answer_end_tok=ans_end, dropped=dropped)
+        answer_start_tok=ans_start, answer_end_tok=ans_end)

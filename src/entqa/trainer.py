@@ -276,14 +276,6 @@ def _validation_score(params, config, val_pairs) -> float:
 # Evaluation.
 # ---------------------------------------------------------------------------
 
-def _predicted_text(pair, start_tok: int, end_tok: int) -> str:
-    offs = pair.token_offsets
-    s, e = offs[start_tok], offs[end_tok]
-    if s is None or e is None:
-        return ""
-    return pair.meta["context"][s[0]:e[1]]
-
-
 def evaluate_pairs(params, config: ModelConfig, pairs,
                    include_lf: bool | None = None,
                    batch_size: int = 32) -> M.EvalReport:
@@ -296,47 +288,40 @@ def evaluate_pairs(params, config: ModelConfig, pairs,
     params = {k: Tensor(p.data) for k, p in params.items()}
     if include_lf is None:
         include_lf = config.omega > 0
-    ems, f1s = [], []
-    lf_preds, lf_golds = [], []
-    ev_preds, ev_golds = [], []
-    per_lf: dict[int, dict] = {}
     packed = _pack(pairs)
+    lf_golds = packed.lf_ids.tolist()
+    lf_preds, ev_preds, texts = [], [], []
     for b0 in range(0, len(pairs), batch_size):
-        batch = _slice_batch(packed, range(b0, min(b0 + batch_size, len(pairs))))
+        rows = range(b0, min(b0 + batch_size, len(pairs)))
+        batch = _slice_batch(packed, rows)
         out = mdl.forward(params, config, batch, train=False)
-        gold_lfs = batch.lf_ids.tolist()
         if include_lf:
             lf_preds += out.lf_logits.data.argmax(axis=1).tolist()
-            lf_golds += gold_lfs
         if config.mode != "span":
             ev_preds += (out.evidence_logit.data > 0).astype(int).tolist()
-            ev_golds += batch.evidence_labels.tolist()
             continue
-        for i, (pair, gold_lf) in enumerate(zip(pairs[b0:b0 + batch_size],
-                                                gold_lfs)):
-            s, e = mdl.decode_span(
-                out.start_logits.data[i], out.end_logits.data[i],
-                batch.context_mask[i], config.max_answer_len)
-            pred = _predicted_text(pair, s, e)
-            em = M.span_em(pred, pair.meta["gold"])
-            f1 = M.token_f1(pred, pair.meta["gold"])
-            ems.append(em)
-            f1s.append(f1)
-            slot = per_lf.setdefault(gold_lf, {"em": 0.0, "f1": 0.0, "n": 0})
-            slot["em"] += em
-            slot["f1"] += f1
-            slot["n"] += 1
+        starts, ends = mdl.decode_span(
+            out.start_logits.data, out.end_logits.data, batch.context_mask,
+            config.max_answer_len)
+        for i, s, e in zip(rows, starts.tolist(), ends.tolist()):
+            offs = pairs[i].token_offsets
+            texts.append(pairs[i].meta["context"][offs[s][0]:offs[e][1]])
     report = M.EvalReport(n_examples=len(pairs))
     if config.mode == "span":
-        report.em = float(np.mean(ems))
-        report.token_f1 = float(np.mean(f1s))
-        for slot in per_lf.values():
-            slot["em"] /= slot["n"]
-            slot["f1"] /= slot["n"]
-        report.per_lf = per_lf
+        golds = [p.meta["gold"] for p in pairs]
+        em = np.array([M.span_em(t, g) for t, g in zip(texts, golds)])
+        f1 = np.array([M.token_f1(t, g) for t, g in zip(texts, golds)])
+        report.em = float(np.mean(em))
+        report.token_f1 = float(np.mean(f1))
+        for c in dict.fromkeys(lf_golds):  # first-seen order
+            hit = packed.lf_ids == c
+            n = int(hit.sum())
+            report.per_lf[c] = {"em": sum(em[hit].tolist()) / n,
+                                "f1": sum(f1[hit].tolist()) / n, "n": n}
     else:
-        report.evidence = M.evidence_scores(ev_preds, ev_golds)
-    if include_lf and lf_preds:
+        report.evidence = M.evidence_scores(
+            ev_preds, packed.evidence_labels.tolist())
+    if include_lf:
         report.lf_exact = M.lf_exact_scores(lf_preds, lf_golds,
                                             config.num_lf_classes)
         report.lf_exact_macro = M.lf_exact_scores(

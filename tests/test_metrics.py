@@ -117,10 +117,9 @@ class TestLfExact:
             preds = rng.integers(0, k, size=n).tolist()
             golds = rng.integers(0, k, size=n).tolist()
             prf = lf_exact_scores(preds, golds, num_classes=k)
-            p, r, f = brute_force_prf(preds, golds, range(k), weighted=True)
-            assert prf.precision == pytest.approx(p, abs=1e-12)
-            assert prf.recall == pytest.approx(r, abs=1e-12)
-            assert prf.f1 == pytest.approx(f, abs=1e-12)
+            # same per-class arithmetic, summed in class order: exact
+            assert (prf.precision, prf.recall, prf.f1) == brute_force_prf(
+                preds, golds, range(k), weighted=True)
 
     def test_macro_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -130,14 +129,13 @@ class TestLfExact:
             preds = rng.integers(0, k, size=n).tolist()
             golds = rng.integers(0, k, size=n).tolist()
             prf = lf_exact_scores(preds, golds, num_classes=k, weighted=False)
-            p, r, f = brute_force_prf(preds, golds, range(k), weighted=False)
-            assert prf.f1 == pytest.approx(f, abs=1e-12)
-            assert prf.precision == pytest.approx(p, abs=1e-12)
-            assert prf.recall == pytest.approx(r, abs=1e-12)
+            assert (prf.precision, prf.recall, prf.f1) == brute_force_prf(
+                preds, golds, range(k), weighted=False)
 
     def test_unknown_class(self):
-        with pytest.raises(MetricError):
-            lf_exact_scores([9], [0], num_classes=9)
+        for bad in (9, -1, 2.5):
+            with pytest.raises(MetricError):
+                lf_exact_scores([bad], [0], num_classes=9)
 
     def test_empty(self):
         with pytest.raises(MetricError):
@@ -216,9 +214,10 @@ class TestEvidence:
             n = int(rng.integers(1, 30))
             preds = rng.integers(0, 2, size=n).tolist()
             golds = rng.integers(0, 2, size=n).tolist()
-            prf = evidence_scores(preds, golds)
-            p, r, f = brute_force_prf(preds, golds, (0, 1), weighted=True)
-            assert prf.f1 == pytest.approx(f, abs=1e-12)
+            for weighted in (True, False):
+                prf = evidence_scores(preds, golds, weighted)
+                assert (prf.precision, prf.recall, prf.f1) == brute_force_prf(
+                    preds, golds, (0, 1), weighted)
 
 
 class TestConfusionAndReport:

@@ -323,42 +323,81 @@ class TestBaselineReduction:
                 assert not np.array_equal(before[~untagged], after[~untagged])
 
 
+def _brute_force_span(s, e, mask, maxlen):
+    """First (start, end) in row-major order with the highest score."""
+    best, best_score = None, -np.inf
+    for i in range(len(s)):
+        for j in range(i, min(len(s), i + maxlen)):
+            if mask[i] and mask[j] and s[i] + e[j] > best_score:
+                best_score = s[i] + e[j]
+                best = (i, j)
+    return best
+
+
 class TestDecodeSpan:
+    def _check_batch(self, s, e, mask, maxlen):
+        starts, ends = decode_span(s, e, mask, maxlen)
+        assert starts.shape == ends.shape == (len(s),)
+        for row in range(len(s)):
+            assert (starts[row], ends[row]) == _brute_force_span(
+                s[row], e[row], mask[row], maxlen)
+
     def test_one_hot(self):
-        logits = np.full(6, -10.0)
-        logits[3] = 5.0
-        mask = np.ones(6, bool)
-        assert decode_span(logits, logits, mask, 4) == (3, 3)
+        logits = np.full((1, 6), -10.0)
+        logits[0, 3] = 5.0
+        starts, ends = decode_span(logits, logits, np.ones((1, 6), bool), 4)
+        assert (starts.tolist(), ends.tolist()) == ([3], [3])
 
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(13)
-        for _ in range(200):
-            L = 10
-            s = rng.normal(size=L)
-            e = rng.normal(size=L)
-            mask = rng.random(L) < 0.7
-            if not mask.any():
-                mask[0] = True
-            maxlen = int(rng.integers(1, 5))
-            best, best_score = None, -np.inf
-            for i in range(L):
-                for j in range(i, min(L, i + maxlen)):
-                    if mask[i] and mask[j] and s[i] + e[j] > best_score:
-                        best_score = s[i] + e[j]
-                        best = (i, j)
-            assert decode_span(s, e, mask, maxlen) == best
+        L = 10
+        maxlens = rng.integers(1, 5, size=200)
+        s = rng.normal(size=(200, L))
+        e = rng.normal(size=(200, L))
+        mask = rng.random((200, L)) < 0.7
+        mask[~mask.any(axis=1), 0] = True
+        for maxlen in np.unique(maxlens):  # one batch per max_answer_len
+            rows = maxlens == maxlen
+            self._check_batch(s[rows], e[rows], mask[rows], int(maxlen))
+
+    def test_ties_go_to_first_pair(self):
+        rng = np.random.default_rng(15)
+        s = rng.integers(-2, 3, size=(100, 9)).astype(float)
+        e = rng.integers(-2, 3, size=(100, 9)).astype(float)
+        mask = rng.random((100, 9)) < 0.8
+        mask[:, 4] = True
+        for maxlen in (1, 3, 9):
+            self._check_batch(s, e, mask, maxlen)
+        # all-equal logits: every valid pair ties, the first context token wins
+        flat = np.zeros((1, 6))
+        starts, ends = decode_span(flat, flat, np.ones((1, 6), bool), 3)
+        assert (starts[0], ends[0]) == (0, 0)
+
+    def test_max_len_beyond_sequence(self):
+        rng = np.random.default_rng(16)
+        s = rng.normal(size=(20, 7))
+        e = rng.normal(size=(20, 7))
+        mask = np.ones((20, 7), bool)
+        mask[:, :2] = False
+        self._check_batch(s, e, mask, 50)
 
     def test_max_len_one_forces_point_span(self):
         rng = np.random.default_rng(14)
-        for _ in range(50):
-            s = rng.normal(size=8)
-            e = rng.normal(size=8)
-            i, j = decode_span(s, e, np.ones(8, bool), 1)
-            assert i == j
+        starts, ends = decode_span(rng.normal(size=(50, 8)),
+                                   rng.normal(size=(50, 8)),
+                                   np.ones((50, 8), bool), 1)
+        np.testing.assert_array_equal(starts, ends)
 
     def test_empty_context_raises(self):
         with pytest.raises(mdl.DecodeError):
-            decode_span(np.zeros(4), np.zeros(4), np.zeros(4, bool), 3)
+            decode_span(np.zeros((1, 4)), np.zeros((1, 4)),
+                        np.zeros((1, 4), bool), 3)
+
+    def test_one_empty_row_in_batch_raises(self):
+        mask = np.ones((3, 5), bool)
+        mask[1] = False
+        with pytest.raises(mdl.DecodeError):
+            decode_span(np.zeros((3, 5)), np.zeros((3, 5)), mask, 3)
 
 
 class TestDeterminism:

@@ -153,8 +153,8 @@ class TestEncodePair:
         context = " ".join(["filler"] * 30) + " aspirin"
         pair = encode_pair("q ?", context, self.vocab, 16,
                            answer_char_span=(len(context) - 7, len(context)))
-        assert pair.dropped
         assert pair.answer_start_tok == -1
+        assert pair.answer_end_tok == -1
 
     def test_deterministic(self):
         a = encode_pair("dose ?", "aspirin 40 mg", self.vocab, 24)

@@ -7,6 +7,7 @@ import pytest
 from entqa import model as mdl
 from entqa import trainer as tr
 from entqa.corpus import build_templates, generate_corpus, instantiate_questions
+from entqa.metrics import span_em, token_f1
 from entqa.model import ModelConfig
 from entqa.textpipe import Vocab
 from entqa.trainer import (TrainConfig, TrainError, apply_system,
@@ -370,6 +371,55 @@ class TestEvaluatePairs:
         reference = tr.evaluate_pairs(params, config, pairs, batch_size=8)
         assert all(t.requires_grad for t in seen)
         assert report == reference
+
+    def test_matches_per_example_reference(self, monkeypatch):
+        examples, vocab = tiny_dataset()
+        pairs = encode_examples(examples, vocab, 48)
+        result = train(pairs[:40], pairs[40:48], tiny_model(vocab),
+                       TrainConfig(lr=3e-3, epochs=3, batch_size=8,
+                                   system="multitask"))
+        forward = mdl.forward
+        logits = []
+
+        def recording(params, config, batch, **kwargs):
+            out = forward(params, config, batch, **kwargs)
+            logits.extend(zip(out.start_logits.data, out.end_logits.data,
+                              batch.context_mask))
+            return out
+
+        monkeypatch.setattr(mdl, "forward", recording)
+        test = pairs[40:]
+        report = tr.evaluate_pairs(result.params, result.model_config, test,
+                                   batch_size=8)
+        # per example: brute-force best span, text cut from the context,
+        # then per-LF sums in example order
+        ems, f1s, per_lf = [], [], {}
+        for pair, (s, e, ctx) in zip(test, logits):
+            best, best_score = None, -np.inf
+            for i in np.flatnonzero(ctx):
+                for j in np.flatnonzero(ctx):
+                    if i <= j < i + result.model_config.max_answer_len \
+                            and s[i] + e[j] > best_score:
+                        best, best_score = (i, j), s[i] + e[j]
+            offs = pair.token_offsets
+            pred = pair.meta["context"][offs[best[0]][0]:offs[best[1]][1]]
+            em = span_em(pred, pair.meta["gold"])
+            f1 = token_f1(pred, pair.meta["gold"])
+            ems.append(em)
+            f1s.append(f1)
+            slot = per_lf.setdefault(pair.meta["lf_id"],
+                                     {"em": 0.0, "f1": 0.0, "n": 0})
+            slot["em"] += em
+            slot["f1"] += f1
+            slot["n"] += 1
+        for slot in per_lf.values():
+            slot["em"] /= slot["n"]
+            slot["f1"] /= slot["n"]
+        assert len(logits) == len(test)
+        assert 0.0 < report.em < 1.0 and len(per_lf) > 1
+        assert report.em == float(np.mean(ems))
+        assert report.token_f1 == float(np.mean(f1s))
+        assert report.per_lf == per_lf
 
 
 class TestFormatMatrix:
