@@ -3,10 +3,14 @@
 Layout (little-endian): magic "MTLQ", uint32 format version, length-
 prefixed config digest, uint32 record count, then per record a length-
 prefixed utf-8 name, uint32 ndim, uint32 dims, and a float32 payload.
+Files are written through `atomic_write`, so a save that fails part-way
+leaves the previous file in place.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -19,6 +23,23 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Write a temporary file beside `path` and move it over `path` when the
+    block ends without an exception; otherwise remove it, leaving `path` as
+    it was."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _write_bytes(fh, blob: bytes):
@@ -39,7 +60,7 @@ def _read_bytes(fh) -> bytes:
 
 
 def save_checkpoint(path, params: dict[str, Tensor], config_digest: str):
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         _write_bytes(fh, config_digest.encode())

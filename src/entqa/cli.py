@@ -19,8 +19,8 @@ import numpy as np
 
 from . import model as mdl
 from . import trainer as tr
-from .checkpoint import (CheckpointError, load_checkpoint, restore_params,
-                         save_checkpoint)
+from .checkpoint import (CheckpointError, atomic_write, load_checkpoint,
+                         restore_params, save_checkpoint)
 from .corpus import (ConfigurationError, DatasetError, LOGICAL_FORMS,
                      build_gazetteer, build_paragraph_context, build_templates,
                      generate_corpus, instantiate_questions, lf_tokenize,
@@ -108,7 +108,7 @@ def write_manifest(out_dir: Path, command: str, resolved: dict,
         "git_describe": _git_describe(),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 

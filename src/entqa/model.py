@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import atomic_write
 from .tensor import Tensor
 from .textpipe import EncodedPair
 
@@ -62,7 +63,7 @@ class ModelConfig:
         return hashlib.sha256(blob).hexdigest()
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
     @classmethod
@@ -232,20 +233,19 @@ def _dropout(x: Tensor, config: ModelConfig, rng, train) -> Tensor:
 
 
 def _attn_block(x: Tensor, params, prefix, heads, mask, config, rng, train):
+    def lin(h, w, b):
+        return T.linear(h, params[f"{prefix}.{w}"], params[f"{prefix}.{b}"])
+
     xn = T.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    q = _split_heads(xn.matmul(params[f"{prefix}.attn.wq"])
-                     + params[f"{prefix}.attn.bq"], heads)
+    q = _split_heads(lin(xn, "attn.wq", "attn.bq"), heads)
     k = _split_heads(xn.matmul(params[f"{prefix}.attn.wk"]), heads)
-    v = _split_heads(xn.matmul(params[f"{prefix}.attn.wv"])
-                     + params[f"{prefix}.attn.bv"], heads)
+    v = _split_heads(lin(xn, "attn.wv", "attn.bv"), heads)
     # key mask broadcast over heads and query positions
     att = T.attention(q, k, v, mask=mask[:, None, :])
-    out = _merge_heads(att).matmul(params[f"{prefix}.attn.wo"]) \
-        + params[f"{prefix}.attn.bo"]
+    out = lin(_merge_heads(att), "attn.wo", "attn.bo")
     x = x + _dropout(out, config, rng, train)
     xn2 = T.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    h = T.gelu(xn2.matmul(params[f"{prefix}.ffn.w1"]) + params[f"{prefix}.ffn.b1"])
-    h = h.matmul(params[f"{prefix}.ffn.w2"]) + params[f"{prefix}.ffn.b2"]
+    h = lin(T.gelu(lin(xn2, "ffn.w1", "ffn.b1")), "ffn.w2", "ffn.b2")
     return x + _dropout(h, config, rng, train)
 
 
@@ -284,7 +284,7 @@ def fuse(params, token_states: Tensor, entity_states: Tensor | None,
          entity_flags: np.ndarray) -> Tensor:
     """Information fusion with an entity-free path for unflagged tokens;
     `entity_states=None` takes that path at every position."""
-    pre = token_states.matmul(params["fuse.wt"]) + params["fuse.b"]
+    pre = T.linear(token_states, params["fuse.wt"], params["fuse.b"])
     if entity_states is not None:
         flags = np.asarray(entity_flags, dtype=float)[..., None]
         pre = pre + entity_states.matmul(params["fuse.we"]) * Tensor(flags)
@@ -301,17 +301,19 @@ def forward(params, config: ModelConfig, batch: Batch,
     fused = fuse(params, tok, ent, flags)
     out = HeadOutputs(fused=fused)
     pooled = fused[:, 0]
-    out.lf_logits = pooled.matmul(params["lf.w"]) + params["lf.b"]
+    out.lf_logits = T.linear(pooled, params["lf.w"], params["lf.b"])
     if config.mode == "span":
         b, l, _ = fused.shape
         mask_bias = np.where(batch.context_mask, 0.0, T.MASK_NEG)
+        # the bias is added after the reshape, so its gradient sums over
+        # [b, l]; T.linear would sum over [b, l, 1] in another float order
         out.start_logits = (fused.matmul(params["span.ws"]).reshape(b, l)
                             + params["span.bs"]) + Tensor(mask_bias)
         out.end_logits = (fused.matmul(params["span.we"]).reshape(b, l)
                           + params["span.be"]) + Tensor(mask_bias)
     else:
-        out.evidence_logit = (pooled.matmul(params["ev.w"])
-                              + params["ev.b"]).reshape(fused.shape[0])
+        out.evidence_logit = T.linear(pooled, params["ev.w"],
+                                      params["ev.b"]).reshape(fused.shape[0])
     return out
 
 
@@ -421,7 +423,12 @@ def fragment_gradchecks(seed: int = 0, tolerance: float = 1e-4) -> dict:
     Returns {fragment: report} where each report carries per-parameter
     max relative errors and an "all_passed" flag.
     """
-    rng = np.random.default_rng(seed)
+    # one stream per use, so a change to the parameter set or to one
+    # fragment moves no other fragment's draws
+    streams = ("jitter", "batch", "linear", "fusion", "entity_encoder",
+               "encoder", "span_head", "lf_head", "full_model")
+    rng = dict(zip(streams, map(np.random.default_rng,
+                                np.random.SeedSequence(seed).spawn(len(streams)))))
     config = ModelConfig(vocab_size=50, hidden_dim=16, layers=2, heads=2,
                          entity_dim=12, entity_heads=2, dropout=0.0,
                          max_seq_len=16, ffn_mult=2)
@@ -429,42 +436,45 @@ def fragment_gradchecks(seed: int = 0, tolerance: float = 1e-4) -> dict:
     # jitter away from the tiny init so gradients are well above the
     # finite-difference noise floor
     for p in params.values():
-        p.data = p.data + rng.normal(0.0, 0.05, size=p.data.shape)
-    batch = _tiny_batch(config, rng)
+        p.data = p.data + rng["jitter"].normal(0.0, 0.05, size=p.data.shape)
+    batch = _tiny_batch(config, rng["batch"])
     reports = {}
 
-    x = Tensor(rng.normal(size=(3, 8)))
-    lin = {"w": Tensor(rng.normal(size=(8, 4)), requires_grad=True),
-           "b": Tensor(rng.normal(size=4), requires_grad=True)}
+    r = rng["linear"]
+    x = Tensor(r.normal(size=(3, 8)))
+    lin = {"w": Tensor(r.normal(size=(8, 4)), requires_grad=True),
+           "b": Tensor(r.normal(size=4), requires_grad=True)}
     reports["linear"] = T.gradcheck(
-        lambda: (x.matmul(lin["w"]) + lin["b"]).sum(), lin,
-        tolerance=tolerance, rng=rng)
+        lambda: T.linear(x, lin["w"], lin["b"]).sum(), lin,
+        tolerance=tolerance, rng=r)
 
+    r = rng["fusion"]
     fparams = {k: params[k] for k in ("fuse.wt", "fuse.we", "fuse.b")}
-    ts = Tensor(rng.normal(size=(2, 6, config.hidden_dim)))
-    es = Tensor(rng.normal(size=(2, 6, config.entity_dim)))
-    fl = rng.random((2, 6)) < 0.5
+    ts = Tensor(r.normal(size=(2, 6, config.hidden_dim)))
+    es = Tensor(r.normal(size=(2, 6, config.entity_dim)))
+    fl = r.random((2, 6)) < 0.5
     reports["fusion"] = T.gradcheck(
         lambda: fuse(params, ts, es, fl).sum(), fparams,
-        tolerance=tolerance, rng=rng)
+        tolerance=tolerance, rng=r)
 
     # weighted sums keep the probe gradients from cancelling out
     b, l = batch.token_ids.shape
-    w_ent = Tensor(rng.normal(size=(b, l, config.entity_dim)))
-    w_tok = Tensor(rng.normal(size=(b, l, config.hidden_dim)))
-
+    r = rng["entity_encoder"]
+    w_ent = Tensor(r.normal(size=(b, l, config.entity_dim)))
     ent_names = [k for k in params if k.startswith(("ent_emb", "ent0", "ent_ln"))]
     eparams = {k: params[k] for k in ent_names}
     reports["entity_encoder"] = T.gradcheck(
         lambda: (encode_entities(params, config, batch) * w_ent).sum(),
-        eparams, tolerance=tolerance, rng=rng)
+        eparams, tolerance=tolerance, rng=r)
 
+    r = rng["encoder"]
+    w_tok = Tensor(r.normal(size=(b, l, config.hidden_dim)))
     enc_names = [k for k in params
                  if k.startswith(("tok_emb", "seg_emb", "pos_emb", "enc"))]
     nparams = {k: params[k] for k in enc_names}
     reports["encoder"] = T.gradcheck(
         lambda: (encode_tokens(params, config, batch) * w_tok).sum(),
-        nparams, tolerance=tolerance, rng=rng, max_elements=8)
+        nparams, tolerance=tolerance, rng=r, max_elements=8)
 
     def span_loss():
         out = forward(params, config, batch)
@@ -472,7 +482,7 @@ def fragment_gradchecks(seed: int = 0, tolerance: float = 1e-4) -> dict:
                               batch.lf_ids, omega=0.0).total
     sparams = {k: params[k] for k in ("span.ws", "span.bs", "span.we", "span.be")}
     reports["span_head"] = T.gradcheck(span_loss, sparams,
-                                       tolerance=tolerance, rng=rng)
+                                       tolerance=tolerance, rng=rng["span_head"])
 
     def lf_loss():
         out = forward(params, config, batch)
@@ -480,7 +490,7 @@ def fragment_gradchecks(seed: int = 0, tolerance: float = 1e-4) -> dict:
                               batch.lf_ids, omega=1.0).total
     lparams = {k: params[k] for k in ("lf.w", "lf.b")}
     reports["lf_head"] = T.gradcheck(lf_loss, lparams,
-                                     tolerance=tolerance, rng=rng)
+                                     tolerance=tolerance, rng=rng["lf_head"])
 
     def full_loss():
         out = forward(params, config, batch)
@@ -490,7 +500,7 @@ def fragment_gradchecks(seed: int = 0, tolerance: float = 1e-4) -> dict:
                   ("fuse.wt", "fuse.we", "tok_emb", "ent_emb",
                    "enc0.attn.wq", "ent0.attn.wv", "span.ws", "lf.w")}
     reports["full_model"] = T.gradcheck(full_loss, fullparams,
-                                        tolerance=tolerance, rng=rng,
+                                        tolerance=tolerance, rng=rng["full_model"],
                                         max_elements=6)
     reports["all_passed"] = all(r["all_passed"] for r in reports.values()
                                 if isinstance(r, dict))

@@ -11,6 +11,15 @@ gradient to that input's gradient. The vjp may return a gradient in the
 output's broadcast shape: ``Tensor.backward`` alone sums it down to the
 input's shape and accumulates it. Edges whose input needs no gradient are
 dropped when the op runs, so ops on constants record no graph.
+
+A node keeps only what its backward needs: ``linear`` is one node for
+``x @ w + b``, ``attention`` one node holding q, k, v and the softmax
+probabilities, and ``dropout`` a boolean mask. ``backward`` frees the
+graph as it walks it: once a node has passed its gradient to its inputs
+it drops its gradient and edges and stops requiring a gradient, so a
+result can be backpropagated once (a second ``backward`` raises
+``GradientError``), and only parameter (leaf) gradients remain
+afterwards.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ class ShapeError(ValueError):
 
 
 class GradientError(RuntimeError):
-    """Raised when a non-finite gradient is encountered."""
+    """Raised on a non-finite gradient, or on backward through a graph
+    that an earlier backward already freed."""
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -51,8 +61,9 @@ class Tensor:
 
     A tensor built by an op keeps ``_edges``: the ``(input, vjp)`` pairs
     of the inputs that require a gradient. ``backward()`` on a scalar
-    result walks the edges in reverse topological order and fills
-    ``grad`` on every requires_grad tensor reachable from it.
+    result walks the edges in reverse topological order, fills ``grad`` on
+    every requires_grad leaf reachable from it and frees the op results it
+    passes through.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_edges")
@@ -99,6 +110,10 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self, grad=None):
+        if not self.requires_grad:
+            raise GradientError(
+                "backward() on a tensor that requires no gradient (an op "
+                "result can be backpropagated once)")
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without grad requires a scalar")
@@ -116,14 +131,22 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p, _ in node._edges:
+                # every edge's input required a gradient when the op ran
+                if not p.requires_grad:
+                    raise GradientError(
+                        "backward() through a graph already freed by an "
+                        "earlier backward()")
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=DTYPE))
-        for node in reversed(topo):
-            if node.grad is None:
-                continue
-            for p, vjp in node._edges:
-                p._accumulate(_unbroadcast(vjp(node.grad), p.data.shape))
+        # reverse topological order; a node is dropped from `topo` once its
+        # gradient is passed on, so its arrays are freed as the walk goes
+        while topo:
+            node = topo.pop()
+            if node._edges:
+                for p, vjp in node._edges:
+                    p._accumulate(_unbroadcast(vjp(node.grad), p.data.shape))
+                node.grad, node._edges, node.requires_grad = None, (), False
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -149,10 +172,7 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         other = Tensor._coerce(other)
         a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"matmul inner dims disagree: {a.shape} vs {b.shape}")
+        _check_matmul(a, b)
         return Tensor._make(np.matmul(a, b),
                             ((self, lambda g: np.matmul(g, b.swapaxes(-1, -2))),
                              (other, lambda g: np.matmul(a.swapaxes(-1, -2), g))))
@@ -195,6 +215,23 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
+def _check_matmul(a: np.ndarray, b: np.ndarray):
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dims disagree: {a.shape} vs {b.shape}")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node; the product is not kept for backward."""
+    xd, wd = x.data, w.data
+    _check_matmul(xd, wd)
+    return Tensor._make(np.matmul(xd, wd) + b.data,
+                        ((x, lambda g: np.matmul(g, wd.swapaxes(-1, -2))),
+                         (w, lambda g: np.matmul(xd.swapaxes(-1, -2), g)),
+                         (b, lambda g: g)))
+
+
 # -- nonlinearities ----------------------------------------------------------
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -213,16 +250,20 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(xd * cdf, ((x, vjp),))
 
 
+def _softmax(xd: np.ndarray, axis: int) -> np.ndarray:
+    z = xd - xd.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along `axis`."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return y * (g - (g * y).sum(axis=axis, keepdims=True))
-
-    return Tensor._make(y, ((x, vjp),))
+    y = _softmax(x.data, axis)
+    return Tensor._make(y, ((x, lambda g: _softmax_vjp(y, g, axis)),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -271,8 +312,9 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
     if not train or p <= 0.0:
         return x
     draw = rng.random(draw_shape or x.data.shape)
-    keep = (draw[tuple(slice(n) for n in x.data.shape)] >= p) / (1.0 - p)
-    return Tensor._make(x.data * keep, ((x, lambda g: g * keep),))
+    keep = draw[tuple(slice(n) for n in x.data.shape)] >= p
+    return Tensor._make(x.data * (keep / (1.0 - p)),
+                        ((x, lambda g: g * (keep / (1.0 - p))),))
 
 
 # -- fused losses ------------------------------------------------------------
@@ -321,23 +363,40 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention over the last two axes.
+    """Scaled dot-product attention over the last two axes, as one node.
 
     q, k, v are [..., L, d]; `mask` is a boolean key mask broadcastable
     to [..., L] where False positions are excluded from normalization.
+    Backward keeps q, k, v and the softmax probabilities only.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
     L, d = q.shape[-2], q.shape[-1]
     if L == 0 or d == 0:
         raise ShapeError(f"degenerate attention dims L={L}, d={d}")
-    scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d))
+    qd, kt, vd = q.data, k.data.swapaxes(-1, -2), v.data
+    scale = 1.0 / math.sqrt(d)
+    scores = np.matmul(qd, kt) * scale
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        bias = np.where(mask, 0.0, MASK_NEG)
         # bias applies along the key axis
-        scores = scores + Tensor(np.expand_dims(bias, -2))
-    return softmax(scores, axis=-1).matmul(v)
+        bias = np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG)
+        scores = scores + np.expand_dims(bias, -2)
+    y = _softmax(scores, -1)
+    memo = []   # (g, d(loss)/d(scaled scores)), shared by the q and k vjps
+
+    def dscores(g):
+        # Tensor.backward calls a node's vjps once each, all with the same g
+        if not memo:
+            gy = np.matmul(g, vd.swapaxes(-1, -2))
+            memo.append((g, _softmax_vjp(y, gy, -1) * scale))
+        assert memo[0][0] is g, "attention vjps called with different gradients"
+        return memo[0][1]
+
+    return Tensor._make(
+        np.matmul(y, vd),
+        ((q, lambda g: np.matmul(dscores(g), kt.swapaxes(-1, -2))),
+         (k, lambda g: np.matmul(qd.swapaxes(-1, -2), dscores(g)).swapaxes(-1, -2)),
+         (v, lambda g: np.matmul(y.swapaxes(-1, -2), g))))
 
 
 # -- gradient checking --------------------------------------------------------

@@ -3,6 +3,8 @@ import pytest
 
 from entqa.checkpoint import (CheckpointError, load_checkpoint, restore_params,
                               save_checkpoint)
+from entqa.cli import write_manifest
+from entqa.model import ModelConfig
 from entqa.tensor import Tensor
 
 
@@ -82,3 +84,44 @@ class TestValidation:
         arrays["w"] = np.zeros((2, 2))
         with pytest.raises(CheckpointError, match="shape"):
             restore_params(params, arrays)
+
+
+class _Unreadable:
+    """A parameter whose values cannot be read, to fail a save part-way."""
+
+    @property
+    def data(self):
+        raise OSError("device full")
+
+
+def _config_writes(tmp_path, ok):
+    config = ModelConfig(vocab_size=10)
+    if not ok:
+        config.mode = object()     # json.dump fails after the first keys
+    config.save(tmp_path / "model_config.json")
+    return tmp_path / "model_config.json"
+
+
+def _manifest_writes(tmp_path, ok):
+    write_manifest(tmp_path, "train", {"lr": 1e-3 if ok else object()}, 0)
+    return tmp_path / "manifest.json"
+
+
+def _checkpoint_writes(tmp_path, ok):
+    # records are written in name order, so "a" is on disk when "z" fails
+    params = {"a": Tensor(np.ones(3)),
+              "z": Tensor(np.zeros(2)) if ok else _Unreadable()}
+    save_checkpoint(tmp_path / "model.ckpt", params, "d")
+    return tmp_path / "model.ckpt"
+
+
+@pytest.mark.parametrize("write", [_checkpoint_writes, _manifest_writes,
+                                   _config_writes],
+                         ids=["checkpoint", "manifest", "model_config"])
+def test_failed_write_leaves_previous_file_intact(tmp_path, write):
+    path = write(tmp_path, ok=True)
+    before = path.read_bytes()
+    with pytest.raises((OSError, TypeError)):
+        write(tmp_path, ok=False)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

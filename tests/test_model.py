@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -415,6 +418,61 @@ class TestDeterminism:
         b = init_params(small_config, seed=3)
         for k in a:
             np.testing.assert_array_equal(a[k].data, b[k].data)
+
+
+def _unfused_linear(x, w, b):
+    return x.matmul(w) + b
+
+
+def _unfused_attention(q, k, v, mask=None):
+    scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        bias = np.where(mask, 0.0, T.MASK_NEG)
+        scores = scores + Tensor(np.expand_dims(bias, -2))
+    return T.softmax(scores, axis=-1).matmul(v)
+
+
+class TestLeanGraph:
+    """A full training forward and loss, walked by one backward."""
+
+    @staticmethod
+    def _train_step(config):
+        params = init_params(config, seed=0)
+        batch = make_batch(config, np.random.default_rng(16))
+        out = mdl.forward(params, config, batch, train=True,
+                          rng=np.random.default_rng(17))
+        mdl.multitask_loss(out, batch.answer_start, batch.answer_end,
+                           batch.lf_ids, omega=0.3).total.backward()
+        return params
+
+    def test_backward_frees_every_op_result(self, small_config, monkeypatch):
+        config = dataclasses.replace(small_config, dropout=0.1)
+        nodes = []
+        make = Tensor._make
+
+        def recording_make(data, edges):
+            out = make(data, edges)
+            nodes.append(out)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+        params = self._train_step(config)
+        assert nodes
+        for node in nodes:
+            assert node._edges == () and node.grad is None
+            assert not node.requires_grad
+        assert all(p.grad is not None for p in params.values())
+
+    def test_gradients_equal_the_unfused_graph(self, small_config,
+                                               monkeypatch):
+        config = dataclasses.replace(small_config, dropout=0.1)
+        lean = self._train_step(config)
+        monkeypatch.setattr(T, "linear", _unfused_linear)
+        monkeypatch.setattr(T, "attention", _unfused_attention)
+        unfused = self._train_step(config)
+        for name, p in lean.items():
+            np.testing.assert_array_equal(p.grad, unfused[name].grad,
+                                          err_msg=name)
 
 
 class TestGradcheckFragments:

@@ -33,10 +33,12 @@ OPS = [
     ("matmul", [(4, 3), (3, 5)], lambda a, b: a.matmul(b)),
     ("matmul_batched_2d_weight", [(2, 3, 4), (4, 5)], lambda a, b: a @ b),
     ("matmul_batched_both", [(2, 3, 4), (2, 4, 5)], lambda a, b: a @ b),
+    ("linear", [(2, 3, 4), (4, 5), (5,)], T.linear),
     ("reshape", [(2, 3, 4)], lambda a: a.reshape(6, 4)),
     ("swapaxes", [(2, 3, 4)], lambda a: a.swapaxes(-1, -2)),
     ("transpose", [(2, 3, 4)], lambda a: a.transpose(1, 2, 0)),
     ("getitem_slice", [(3, 4)], lambda a: a[:, 1:3]),
+    ("getitem_int_and_slice", [(2, 3, 4)], lambda a: a[:, 0]),
     ("getitem_repeated_fancy", [(3, 4)], lambda a: a[np.array([0, 2, 0, 0])]),
     ("getitem_fancy_pairs", [(3, 4)],
      lambda a: a[np.array([1, 1, 2]), np.array([0, 0, 3])]),
@@ -60,6 +62,9 @@ OPS = [
                                                                [1, 0, 0]]))),
     ("attention_key_mask", [(2, 3, 4)] * 3,
      lambda q, k, v: T.attention(q, k, v, mask=KEY_MASK)),
+    # [B, H, L, d] with the key mask broadcast over heads, as the model calls it
+    ("attention_heads_key_mask", [(2, 2, 3, 4)] * 3,
+     lambda q, k, v: T.attention(q, k, v, mask=KEY_MASK[:, None, :])),
 ]
 OP_IDS = [case[0] for case in OPS]
 
@@ -114,6 +119,25 @@ def test_adopted_gradient_is_never_written_in_place():
     ((a + b) + a * 2.0).sum().backward()
     np.testing.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+def test_second_backward_raises():
+    w = Tensor(np.ones(3), requires_grad=True)
+    loss = (w * w).sum()
+    loss.backward()
+    with pytest.raises(T.GradientError):
+        loss.backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+
+
+def test_backward_through_a_freed_subgraph_raises():
+    w = Tensor(np.ones(3), requires_grad=True)
+    h = w * w
+    other = (h * 3.0).sum()    # recorded before h's graph is walked
+    h.sum().backward()
+    with pytest.raises(T.GradientError):
+        other.backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
 
 
 def test_scalar_gradient_keeps_its_shape():
@@ -226,6 +250,17 @@ class TestAttention:
         with pytest.raises(T.ShapeError):
             T.attention(Tensor(np.zeros((1, 0, 4))), Tensor(np.zeros((1, 0, 4))),
                         Tensor(np.zeros((1, 0, 4))))
+
+    def test_vjps_refuse_a_second_gradient(self):
+        # q and k share one softmax backward, valid only for the first g
+        q, k, v = (Tensor(a, requires_grad=True) for a in _inputs([(2, 3, 4)] * 3))
+        out = T.attention(q, k, v)
+        (_, vjp_q), (_, vjp_k), _ = out._edges
+        g = np.ones(out.shape)
+        vjp_q(g)
+        vjp_k(g)
+        with pytest.raises(AssertionError):
+            vjp_k(2.0 * g)
 
 
 class TestOtherOps:
@@ -343,6 +378,14 @@ class TestDeterminism:
         cut = T.dropout(x, 0.5, np.random.default_rng(0), train=True,
                         draw_shape=(2, 8, 3)).data
         np.testing.assert_array_equal(cut, wide[:, :5])
+
+    def test_dropout_keeps_a_boolean_mask(self):
+        out = T.dropout(Tensor(np.ones((4, 4)), requires_grad=True), 0.5,
+                        np.random.default_rng(0), train=True)
+        ((_, vjp),) = out._edges
+        kept = [c.cell_contents for c in vjp.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert [a.dtype for a in kept] == [np.dtype(bool)]
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((4, 4)))
