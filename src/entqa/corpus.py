@@ -12,7 +12,7 @@ import functools
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -504,25 +504,24 @@ class QAExample:
     def context_text(self) -> str:
         return " ".join(self.context_sentences)
 
+    def sentence_offset(self, i: int) -> int:
+        """Character offset of sentence `i` in `context_text`."""
+        return sum(len(s) + 1 for s in self.context_sentences[:i])
+
     def answer_char_span_in_context(self) -> tuple[int, int]:
-        offset = sum(len(s) + 1 for s in
-                     self.context_sentences[:self.answer["sentence_index"]])
+        offset = self.sentence_offset(self.answer["sentence_index"])
         return (offset + self.answer["char_start"],
                 offset + self.answer["char_end"])
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id, "note_id": self.note_id, "question": self.question,
-            "question_template_id": self.question_template_id,
-            "lf_id": self.lf_id, "context_sentences": self.context_sentences,
-            "evidence_idx": self.evidence_idx, "answer": self.answer,
-            "question_tags": self.question_tags,
-            "context_tags": self.context_tags,
-        }
+    def sentence_tags(self, i: int) -> list:
+        """The context tags inside sentence `i`, shifted to offsets into it."""
+        start = self.sentence_offset(i)
+        end = start + len(self.context_sentences[i])
+        return [[t, s - start, e - start] for t, s, e in self.context_tags
+                if start <= s and e <= end]
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QAExample":
-        return cls(**obj)
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
 def _tags_as_lists(gazetteer: Gazetteer, text: str) -> list:
@@ -569,16 +568,18 @@ def instantiate_questions(notes: list[Note],
     return examples
 
 
+PARA_MIN_SENTENCES, PARA_MAX_SENTENCES = 15, 20
+
+
 def build_paragraph_context(example: QAExample, note: Note,
-                            rng: np.random.Generator,
-                            min_len: int = 15, max_len: int = 20) -> QAExample:
+                            rng: np.random.Generator) -> QAExample:
     """Paragraph-setting variant: the evidence sentence at a random offset
     inside a window of `l_para` sentences drawn from the note.
 
-    Draws l_para uniform in [min_len, max_len] and l_pre uniform in
-    [0, l_para - 1]; the context is l_pre sentences before the evidence
-    sentence, the evidence sentence, then l_para - l_pre - 1 after,
-    padding with distractors where the note runs short.
+    Draws l_para uniform in [PARA_MIN_SENTENCES, PARA_MAX_SENTENCES] and
+    l_pre uniform in [0, l_para - 1]; the context is l_pre sentences before
+    the evidence sentence, the evidence sentence, then l_para - l_pre - 1
+    after, padding with distractors where the note runs short.
     """
     ev_sent = example.context_sentences[example.evidence_idx]
     ev_in_note = None
@@ -588,7 +589,7 @@ def build_paragraph_context(example: QAExample, note: Note,
             break
     if ev_in_note is None:
         raise ValueError(f"evidence sentence not found in note {note.note_id}")
-    l_para = int(rng.integers(min_len, max_len + 1))
+    l_para = int(rng.integers(PARA_MIN_SENTENCES, PARA_MAX_SENTENCES + 1))
     l_pre = int(rng.integers(0, l_para))
     l_post = l_para - l_pre - 1
 
@@ -616,11 +617,7 @@ def build_paragraph_context(example: QAExample, note: Note,
 # Dataset serialization: JSON Lines, streaming reads.
 # ---------------------------------------------------------------------------
 
-REQUIRED_FIELDS = [
-    "id", "note_id", "question", "question_template_id", "lf_id",
-    "context_sentences", "evidence_idx", "answer",
-    "question_tags", "context_tags",
-]
+REQUIRED_FIELDS = [f.name for f in fields(QAExample)]
 
 
 class DatasetError(ValueError):
@@ -644,8 +641,13 @@ def read_dataset(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetError(f"malformed JSON at line {lineno}: {e}") from e
+            if not isinstance(obj, dict):
+                raise DatasetError(f"line {lineno}: not a JSON object")
             for key in REQUIRED_FIELDS:
                 if key not in obj:
                     raise DatasetError(
                         f"line {lineno}: missing required field '{key}'")
-            yield QAExample.from_json(obj)
+            unknown = [k for k in obj if k not in REQUIRED_FIELDS]
+            if unknown:
+                raise DatasetError(f"line {lineno}: unknown field '{unknown[0]}'")
+            yield QAExample(**obj)

@@ -213,16 +213,6 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
 # Forward pieces.
 # ---------------------------------------------------------------------------
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, l, d = x.shape
-    return x.reshape(b, l, heads, d // heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
-
-
 def _dropout(x: Tensor, config: ModelConfig, rng, train) -> Tensor:
     """Dropout over [B, L, d] with the mask drawn at max_seq_len positions
     and cut to L: a trimmed batch's real positions get the masks they would
@@ -237,47 +227,45 @@ def _attn_block(x: Tensor, params, prefix, heads, mask, config, rng, train):
         return T.linear(h, params[f"{prefix}.{w}"], params[f"{prefix}.{b}"])
 
     xn = T.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    q = _split_heads(lin(xn, "attn.wq", "attn.bq"), heads)
-    k = _split_heads(xn.matmul(params[f"{prefix}.attn.wk"]), heads)
-    v = _split_heads(lin(xn, "attn.wv", "attn.bv"), heads)
-    # key mask broadcast over heads and query positions
-    att = T.attention(q, k, v, mask=mask[:, None, :])
-    out = lin(_merge_heads(att), "attn.wo", "attn.bo")
-    x = x + _dropout(out, config, rng, train)
+    att = T.attention(lin(xn, "attn.wq", "attn.bq"),
+                      xn.matmul(params[f"{prefix}.attn.wk"]),
+                      lin(xn, "attn.wv", "attn.bv"), heads, mask)
+    x = x + _dropout(lin(att, "attn.wo", "attn.bo"), config, rng, train)
     xn2 = T.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     h = lin(T.gelu(lin(xn2, "ffn.w1", "ffn.b1")), "ffn.w2", "ffn.b2")
     return x + _dropout(h, config, rng, train)
 
 
+def _encode(x: Tensor, params, prefix, layers, heads, config: ModelConfig,
+            batch: Batch, train, rng) -> Tensor:
+    """Blocks `{prefix}0` .. over embedded `x`, then the `{prefix}_ln` norm."""
+    for i in range(layers):
+        x = _attn_block(x, params, f"{prefix}{i}", heads,
+                        batch.attention_mask, config, rng, train)
+    return T.layer_norm(x, params[f"{prefix}_ln.g"], params[f"{prefix}_ln.b"])
+
+
 def encode_tokens(params, config: ModelConfig, batch: Batch,
                   train: bool = False, rng=None) -> Tensor:
-    """Embed tokens and run the pre-norm self-attention stack."""
+    """Embed tokens and run the block stack; `rng` is read only in training."""
     L = batch.token_ids.shape[1]
     if L > config.max_seq_len:
         raise T.ShapeError(
             f"sequence length {L} exceeds learned positions {config.max_seq_len}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     x = T.embedding(params["tok_emb"], batch.token_ids) \
         + T.embedding(params["seg_emb"], batch.segment_ids) \
         + params["pos_emb"][:L]
     x = _dropout(x, config, rng, train)
-    for i in range(config.layers):
-        x = _attn_block(x, params, f"enc{i}", config.heads,
-                        batch.attention_mask, config, rng, train)
-    return T.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
+    return _encode(x, params, "enc", config.layers, config.heads, config,
+                   batch, train, rng)
 
 
 def encode_entities(params, config: ModelConfig, batch: Batch,
                     train: bool = False, rng=None) -> Tensor:
     """Entity-embedding lookup plus self-attention over the sequence."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     x = T.embedding(params["ent_emb"], batch.entity_ids)
-    for i in range(config.entity_attention_layers):
-        x = _attn_block(x, params, f"ent{i}", config.entity_heads,
-                        batch.attention_mask, config, rng, train)
-    return T.layer_norm(x, params["ent_ln.g"], params["ent_ln.b"])
+    return _encode(x, params, "ent", config.entity_attention_layers,
+                   config.entity_heads, config, batch, train, rng)
 
 
 def fuse(params, token_states: Tensor, entity_states: Tensor | None,

@@ -11,9 +11,9 @@ from .tensor import GradientError, Tensor
 
 @dataclass
 class AdamState:
-    """Per-parameter moment buffers plus the shared hyperparameters."""
+    """Per-parameter moment buffers plus the shared hyperparameters; the
+    learning rate is passed to each `adam_step`."""
 
-    lr: float = 2e-5
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -28,15 +28,13 @@ class AdamState:
             self.second_moment[name] = np.zeros_like(data)
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float | None = None):
-    """One in-place update of every parameter that has a gradient.
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
+    """One in-place update of every parameter that has a gradient, at
+    learning rate `lr` (the schedule's value for this step).
 
-    `lr` overrides state.lr for this step (scheduled learning rates).
-    Weight decay is decoupled: it scales with the effective lr and is
-    applied even to zero-gradient parameters.
+    Weight decay is decoupled: it scales with lr and is applied even to
+    zero-gradient parameters.
     """
-    if lr is None:
-        lr = state.lr
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t

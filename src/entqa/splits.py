@@ -108,13 +108,15 @@ def partition_templates(templates_by_lf: dict, train_frac: float, seed: int):
     return qt_train, qt_eval
 
 
+SPLIT_RATIOS = (0.7, 0.15, 0.15)   # train / val / test share of notes
+
+
 def make_assignment(notes, templates, mode: str, seed: int,
-                    ratios=(0.7, 0.15, 0.15), train_frac: float = 0.7
-                    ) -> SplitAssignment:
+                    train_frac: float = 0.7) -> SplitAssignment:
     if mode not in ("pl", "r"):
         raise SplitError(f"unknown split mode {mode!r}")
     note_ids = [n.note_id for n in notes]
-    train_n, val_n, test_n = split_notes(note_ids, ratios, seed)
+    train_n, val_n, test_n = split_notes(note_ids, SPLIT_RATIOS, seed)
     by_lf: dict[int, list] = {}
     for t in templates:
         by_lf.setdefault(t.lf_id, []).append(t.template_id)

@@ -13,7 +13,8 @@ input's shape and accumulates it. Edges whose input needs no gradient are
 dropped when the op runs, so ops on constants record no graph.
 
 A node keeps only what its backward needs: ``linear`` is one node for
-``x @ w + b``, ``attention`` one node holding q, k, v and the softmax
+``x @ w + b``, ``attention`` one node that takes [B, L, d] projections,
+splits and merges the heads itself and holds q, k, v and the softmax
 probabilities, and ``dropout`` a boolean mask. ``backward`` frees the
 graph as it walks it: once a node has passed its gradient to its inputs
 it drops its gradient and edges and stops requiring a gradient, so a
@@ -362,56 +363,68 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     return Tensor._make(loss.mean(), ((logits, vjp),))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention over the last two axes, as one node.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention, as one node.
 
-    q, k, v are [..., L, d]; `mask` is a boolean key mask broadcastable
-    to [..., L] where False positions are excluded from normalization.
-    Backward keeps q, k, v and the softmax probabilities only.
+    q, k, v are [B, L, d] projections; each is split into `heads` heads of
+    d // heads features, every head attends on its own, and the heads are
+    merged back into a [B, L, d] result. `mask` is a [B, L] boolean key
+    mask whose False positions are excluded from normalization. Backward
+    keeps q, k, v and the softmax probabilities only.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
-    L, d = q.shape[-2], q.shape[-1]
-    if L == 0 or d == 0:
-        raise ShapeError(f"degenerate attention dims L={L}, d={d}")
-    qd, kt, vd = q.data, k.data.swapaxes(-1, -2), v.data
-    scale = 1.0 / math.sqrt(d)
+    B, L, d = q.shape
+    if L == 0 or d == 0 or d % heads:
+        raise ShapeError(f"cannot attend over L={L}, d={d} in {heads} heads")
+    dh = d // heads
+
+    def split(a):   # [B, L, d] -> [B, H, L, dh] view
+        return a.reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):   # [B, H, L, dh] -> [B, L, d]
+        return a.transpose(0, 2, 1, 3).reshape(B, L, d)
+
+    qd, kt, vd = split(q.data), split(k.data).swapaxes(-1, -2), split(v.data)
+    scale = 1.0 / math.sqrt(dh)
     scores = np.matmul(qd, kt) * scale
     if mask is not None:
-        # bias applies along the key axis
+        # bias applies along the key axis, for every head and query
         bias = np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG)
-        scores = scores + np.expand_dims(bias, -2)
+        scores = scores + bias[:, None, None, :]
     y = _softmax(scores, -1)
-    memo = []   # (g, d(loss)/d(scaled scores)), shared by the q and k vjps
+    memo = []   # (g, g split into heads, d(loss)/d(scaled scores))
 
-    def dscores(g):
+    def head_grads(g):
         # Tensor.backward calls a node's vjps once each, all with the same g
         if not memo:
-            gy = np.matmul(g, vd.swapaxes(-1, -2))
-            memo.append((g, _softmax_vjp(y, gy, -1) * scale))
+            gh = np.ascontiguousarray(split(g))
+            gy = np.matmul(gh, vd.swapaxes(-1, -2))
+            memo.append((g, gh, _softmax_vjp(y, gy, -1) * scale))
         assert memo[0][0] is g, "attention vjps called with different gradients"
-        return memo[0][1]
+        return memo[0][1:]
 
     return Tensor._make(
-        np.matmul(y, vd),
-        ((q, lambda g: np.matmul(dscores(g), kt.swapaxes(-1, -2))),
-         (k, lambda g: np.matmul(qd.swapaxes(-1, -2), dscores(g)).swapaxes(-1, -2)),
-         (v, lambda g: np.matmul(y.swapaxes(-1, -2), g))))
+        merge(np.matmul(y, vd)),
+        ((q, lambda g: merge(np.matmul(head_grads(g)[1], kt.swapaxes(-1, -2)))),
+         (k, lambda g: merge(np.matmul(qd.swapaxes(-1, -2),
+                                       head_grads(g)[1]).swapaxes(-1, -2))),
+         (v, lambda g: merge(np.matmul(y.swapaxes(-1, -2), head_grads(g)[0])))))
 
 
 # -- gradient checking --------------------------------------------------------
 
-def gradcheck(loss_fn, params: dict, h: float = 1e-5, tolerance: float = 1e-4,
-              max_elements: int = 25, rng: np.random.Generator | None = None) -> dict:
+def gradcheck(loss_fn, params: dict, rng: np.random.Generator, h: float = 1e-5,
+              tolerance: float = 1e-4, max_elements: int = 25) -> dict:
     """Compare analytic gradients against central finite differences.
 
     `loss_fn()` must rebuild the scalar loss from the live `params`
     tensors on every call (deterministic: no dropout). Returns a report
     {name: {"max_rel_err": float, "passed": bool}} plus an "all_passed"
-    key. Large parameters are probed at `max_elements` random entries.
+    key. Large parameters are probed at `max_elements` entries drawn from
+    `rng`.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     for p in params.values():
         p.grad = None
     loss = loss_fn()

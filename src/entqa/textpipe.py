@@ -39,10 +39,10 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
 
 
 class Vocab:
-    """Token-to-id map with fixed reserved ids and a frequency floor."""
+    """Token-to-id map with fixed reserved ids; `build` drops tokens seen
+    fewer than `min_frequency` times."""
 
-    def __init__(self, tokens: list[str] | None = None, min_frequency: int = 1):
-        self.min_frequency = min_frequency
+    def __init__(self, tokens: list[str] | None = None):
         self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(RESERVED)}
         for t in tokens or []:
             if t not in self._token_to_id:
@@ -64,7 +64,7 @@ class Vocab:
         for text in texts:
             counts.update(tok for tok, _, _ in tokenize(text))
         kept = sorted(t for t, c in counts.items() if c >= min_frequency)
-        return cls(kept, min_frequency=min_frequency)
+        return cls(kept)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import metrics as M
 from . import model as mdl
-from .corpus import LOGICAL_FORMS, QAExample, build_gazetteer
+from .corpus import LOGICAL_FORMS, QAExample
 from .model import Batch, ModelConfig
 from .optim import AdamState, adam_step
 from .tensor import GradientError, Tensor
@@ -105,34 +105,36 @@ class EvidenceExample:
     sentence: str
     label: int
     lf_id: int
+    question_tags: list   # [type, start, end], as on QAExample
+    sentence_tags: list   # offsets into `sentence`
 
 
 def make_evidence_examples(examples: list[QAExample],
                            rng: np.random.Generator) -> list[EvidenceExample]:
     """Binary sentence-classification pairs: the evidence sentence (label
-    1) and one non-evidence sentence from the same context (label 0)."""
+    1) and one non-evidence sentence from the same context (label 0),
+    each carrying the example's entity tags that fall inside it."""
     out = []
     for ex in examples:
-        ev = ex.context_sentences[ex.evidence_idx]
-        out.append(EvidenceExample(ex.question, ev, 1, ex.lf_id))
-        negatives = [s for i, s in enumerate(ex.context_sentences)
+        picks = [(ex.evidence_idx, 1)]
+        negatives = [i for i in range(len(ex.context_sentences))
                      if i != ex.evidence_idx]
         if negatives:
-            out.append(EvidenceExample(
-                ex.question, negatives[rng.integers(len(negatives))], 0,
-                ex.lf_id))
+            picks.append((negatives[rng.integers(len(negatives))], 0))
+        out += [EvidenceExample(ex.question, ex.context_sentences[i], label,
+                                ex.lf_id, ex.question_tags, ex.sentence_tags(i))
+                for i, label in picks]
     return out
 
 
 def encode_evidence_examples(examples: list[EvidenceExample], vocab: Vocab,
                              max_seq_len: int):
-    gazetteer = build_gazetteer()
     pairs, labels, lf_ids = [], [], []
     for ex in examples:
         pair = encode_pair(
             ex.question, ex.sentence, vocab, max_seq_len,
-            question_tags=gazetteer.tag(ex.question),
-            context_tags=gazetteer.tag(ex.sentence))
+            question_tags=_tags(ex.question_tags),
+            context_tags=_tags(ex.sentence_tags))
         pair.meta = {"lf_id": ex.lf_id, "label": ex.label}
         pairs.append(pair)
         labels.append(ex.label)
@@ -196,8 +198,7 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
                 "negative sentences; train evidence mode on paragraph "
                 "contexts")
     params = mdl.init_params(config, train_config.seed)
-    state = AdamState(lr=train_config.lr,
-                      weight_decay=train_config.weight_decay)
+    state = AdamState(weight_decay=train_config.weight_decay)
     shuffle_rng = np.random.default_rng(train_config.seed + 1)
     drop_rng = np.random.default_rng(train_config.seed + 2)
 
@@ -276,9 +277,11 @@ def _validation_score(params, config, val_pairs) -> float:
 # Evaluation.
 # ---------------------------------------------------------------------------
 
+EVAL_BATCH_SIZE = 32
+
+
 def evaluate_pairs(params, config: ModelConfig, pairs,
-                   include_lf: bool | None = None,
-                   batch_size: int = 32) -> M.EvalReport:
+                   include_lf: bool | None = None) -> M.EvalReport:
     """Greedy span decode (or evidence thresholding) plus LF argmax.
 
     Forwards over gradient-free views of `params`, so no graph is recorded.
@@ -291,8 +294,8 @@ def evaluate_pairs(params, config: ModelConfig, pairs,
     packed = _pack(pairs)
     lf_golds = packed.lf_ids.tolist()
     lf_preds, ev_preds, texts = [], [], []
-    for b0 in range(0, len(pairs), batch_size):
-        rows = range(b0, min(b0 + batch_size, len(pairs)))
+    for b0 in range(0, len(pairs), EVAL_BATCH_SIZE):
+        rows = range(b0, min(b0 + EVAL_BATCH_SIZE, len(pairs)))
         batch = _slice_batch(packed, rows)
         out = mdl.forward(params, config, batch, train=False)
         if include_lf:
@@ -357,12 +360,12 @@ def run_matrix(splits_by_mode: dict, vocab: Vocab, model_config: ModelConfig,
     seeds = list(seeds)
     if len(seeds) < 3:
         raise TrainError("run_matrix needs at least 3 seeds")
+    encoded = {mode: [encode_examples(x, vocab, model_config.max_seq_len)
+                      for x in split]
+               for mode, split in splits_by_mode.items()}
     cells = {}
     for system, split_mode in MATRIX_ROWS:
-        train_ex, val_ex, test_ex = splits_by_mode[split_mode]
-        train_pairs = encode_examples(train_ex, vocab, model_config.max_seq_len)
-        val_pairs = encode_examples(val_ex, vocab, model_config.max_seq_len)
-        test_pairs = encode_examples(test_ex, vocab, model_config.max_seq_len)
+        train_pairs, val_pairs, test_pairs = encoded[split_mode]
         f1s, ems = [], []
         for seed in seeds:
             tc = replace(train_config, system=system, seed=seed)

@@ -243,7 +243,7 @@ def test_criterion_5_overfit_sanity():
     config = ModelConfig(vocab_size=len(vocab), **{**SMALL_MODEL,
                                                    "dropout": 0.0})
     params = mdl.init_params(config, seed=0)
-    state = AdamState(lr=1e-3, weight_decay=0.0)
+    state = AdamState(weight_decay=0.0)
     batch = tr._slice_batch(tr._pack(pairs), range(8))
     solved_at = None
     for step in range(300):
@@ -253,7 +253,7 @@ def test_criterion_5_overfit_sanity():
         for p in params.values():
             p.grad = None
         parts.total.backward()
-        adam_step(params, state)
+        adam_step(params, state, lr=1e-3)
         if step % 10 == 9:
             report = tr.evaluate_pairs(params, config, pairs)
             conf = np.array(report.confusion)

@@ -102,6 +102,20 @@ class TestSplit:
                      "--data", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda record: {**record, "extra": 1}, "unknown field 'extra'"),
+        (lambda record: 5, "not a JSON object")],
+        ids=["unknown_field", "not_an_object"])
+    def test_bad_record_is_integrity_error(self, workspace, tmp_path, capsys,
+                                           edit, named):
+        lines = (workspace / "data" / "corpus.jsonl").read_text().splitlines()
+        data = tmp_path / "corpus.jsonl"
+        data.write_text(lines[0] + "\n"
+                        + json.dumps(edit(json.loads(lines[1]))) + "\n")
+        assert main(["split", "--mode", "pl", "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"line 2: {named}" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_train_artifacts(self, workspace):

@@ -424,12 +424,33 @@ def _unfused_linear(x, w, b):
     return x.matmul(w) + b
 
 
-def _unfused_attention(q, k, v, mask=None):
+def _unfused_attention(q, k, v, heads, mask=None):
+    b, l, d = q.shape
+
+    def split(x):
+        return x.reshape(b, l, heads, d // heads).transpose(0, 2, 1, 3)
+
+    q, k, v = split(q), split(k), split(v)
     scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         bias = np.where(mask, 0.0, T.MASK_NEG)
-        scores = scores + Tensor(np.expand_dims(bias, -2))
-    return T.softmax(scores, axis=-1).matmul(v)
+        scores = scores + Tensor(bias[:, None, None, :])
+    att = T.softmax(scores, axis=-1).matmul(v)
+    return att.transpose(0, 2, 1, 3).reshape(b, l, d)
+
+
+def _record_nodes(monkeypatch) -> list:
+    """The list every later op result is appended to."""
+    nodes = []
+    make = Tensor._make
+
+    def recording_make(data, edges):
+        out = make(data, edges)
+        nodes.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+    return nodes
 
 
 class TestLeanGraph:
@@ -447,21 +468,27 @@ class TestLeanGraph:
 
     def test_backward_frees_every_op_result(self, small_config, monkeypatch):
         config = dataclasses.replace(small_config, dropout=0.1)
-        nodes = []
-        make = Tensor._make
-
-        def recording_make(data, edges):
-            out = make(data, edges)
-            nodes.append(out)
-            return out
-
-        monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+        nodes = _record_nodes(monkeypatch)
         params = self._train_step(config)
         assert nodes
         for node in nodes:
             assert node._edges == () and node.grad is None
             assert not node.requires_grad
         assert all(p.grad is not None for p in params.values())
+
+    def test_one_block_records_fourteen_nodes(self, small_config,
+                                              small_params, monkeypatch):
+        # two layer norms, q/k/v/o projections, attention, the feed-forward
+        # pair and its GELU, two dropouts and two residual adds
+        config = dataclasses.replace(small_config, dropout=0.1)
+        batch = make_batch(config, np.random.default_rng(18))
+        x = Tensor(np.random.default_rng(19).normal(size=(2, 12, 16)))
+        nodes = _record_nodes(monkeypatch)
+        out = mdl._attn_block(x, small_params, "enc0", config.heads,
+                              batch.attention_mask, config,
+                              np.random.default_rng(20), train=True)
+        assert out.requires_grad
+        assert len(nodes) == 14
 
     def test_gradients_equal_the_unfused_graph(self, small_config,
                                                monkeypatch):

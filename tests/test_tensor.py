@@ -61,10 +61,10 @@ OPS = [
      lambda a: T.binary_cross_entropy_with_logits(a, np.array([[0, 1, 1],
                                                                [1, 0, 0]]))),
     ("attention_key_mask", [(2, 3, 4)] * 3,
-     lambda q, k, v: T.attention(q, k, v, mask=KEY_MASK)),
-    # [B, H, L, d] with the key mask broadcast over heads, as the model calls it
-    ("attention_heads_key_mask", [(2, 2, 3, 4)] * 3,
-     lambda q, k, v: T.attention(q, k, v, mask=KEY_MASK[:, None, :])),
+     lambda q, k, v: T.attention(q, k, v, 1, mask=KEY_MASK)),
+    # [B, L, d] split into two heads of width 2, as the model calls it
+    ("attention_heads_key_mask", [(2, 3, 4)] * 3,
+     lambda q, k, v: T.attention(q, k, v, 2, mask=KEY_MASK)),
 ]
 OP_IDS = [case[0] for case in OPS]
 
@@ -215,7 +215,7 @@ class TestAttention:
         q = Tensor(rng.normal(size=(2, 3, 4)))
         k = Tensor(np.broadcast_to(rng.normal(size=(2, 1, 4)), (2, 3, 4)).copy())
         v = Tensor(rng.normal(size=(2, 3, 4)))
-        out = T.attention(q, k.reshape(2, 3, 4), v)
+        out = T.attention(q, k.reshape(2, 3, 4), v, 2)
         expected = v.data.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(out.data, np.broadcast_to(expected, (2, 3, 4)),
                                    atol=1e-12)
@@ -226,35 +226,46 @@ class TestAttention:
         k = Tensor(rng.normal(size=(1, 3, 4)))
         v = Tensor(rng.normal(size=(1, 3, 4)))
         mask = np.array([[True, False, False]])
-        out = T.attention(q, k, v, mask=mask)
+        out = T.attention(q, k, v, 2, mask=mask)
         for row in range(3):
             np.testing.assert_allclose(out.data[0, row], v.data[0, 0],
                                        atol=1e-12)
 
     def test_matches_loop_oracle(self):
+        # head h of row b reads features [h * dh, (h + 1) * dh) and attends
+        # only to the keys row b's mask keeps
         rng = np.random.default_rng(6)
-        h, L, d = 2, 3, 4
-        q, k, v = (rng.normal(size=(h, L, d)) for _ in range(3))
-        out = T.attention(Tensor(q), Tensor(k), Tensor(v)).data
-        ref = np.zeros((h, L, d))
-        for hi in range(h):
-            for i in range(L):
-                scores = np.array([q[hi, i] @ k[hi, j] for j in range(L)])
-                scores = scores / np.sqrt(d)
-                w = np.exp(scores - scores.max())
-                w /= w.sum()
-                ref[hi, i] = sum(w[j] * v[hi, j] for j in range(L))
+        B, L, heads, dh = 2, 3, 2, 2
+        q, k, v = (rng.normal(size=(B, L, heads * dh)) for _ in range(3))
+        mask = KEY_MASK
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask).data
+        ref = np.zeros((B, L, heads * dh))
+        for b in range(B):
+            keys = [j for j in range(L) if mask[b, j]]
+            for h in range(heads):
+                f = slice(h * dh, (h + 1) * dh)
+                for i in range(L):
+                    scores = np.array([q[b, i, f] @ k[b, j, f] for j in keys])
+                    scores = scores / np.sqrt(dh)
+                    w = np.exp(scores - scores.max())
+                    w /= w.sum()
+                    ref[b, i, f] = sum(wj * v[b, j, f] for wj, j in zip(w, keys))
         np.testing.assert_allclose(out, ref, atol=1e-9)
 
     def test_degenerate_dims_raise(self):
         with pytest.raises(T.ShapeError):
             T.attention(Tensor(np.zeros((1, 0, 4))), Tensor(np.zeros((1, 0, 4))),
-                        Tensor(np.zeros((1, 0, 4))))
+                        Tensor(np.zeros((1, 0, 4))), 1)
+
+    def test_width_not_divisible_by_heads_raises(self):
+        x = Tensor(np.zeros((1, 2, 4)))
+        with pytest.raises(T.ShapeError, match="3 heads"):
+            T.attention(x, x, x, 3)
 
     def test_vjps_refuse_a_second_gradient(self):
         # q and k share one softmax backward, valid only for the first g
         q, k, v = (Tensor(a, requires_grad=True) for a in _inputs([(2, 3, 4)] * 3))
-        out = T.attention(q, k, v)
+        out = T.attention(q, k, v, 2)
         (_, vjp_q), (_, vjp_k), _ = out._edges
         g = np.ones(out.shape)
         vjp_q(g)
@@ -347,7 +358,7 @@ class TestGradcheck:
         b = Tensor(rng.normal(size=4), requires_grad=True)
         x = Tensor(rng.normal(size=(3, 6)))
         report = T.gradcheck(lambda: (x.matmul(w) + b).sum(),
-                             {"w": w, "b": b}, tolerance=1e-6)
+                             {"w": w, "b": b}, rng, tolerance=1e-6)
         assert report["all_passed"]
 
     def test_detects_wrong_gradient(self):
@@ -360,7 +371,8 @@ class TestGradcheck:
             out._edges = ((inp, lambda g: np.full((2, 2), 2.0) * g),)
             return out
 
-        report = T.gradcheck(bad_loss, {"w": w}, tolerance=1e-6)
+        report = T.gradcheck(bad_loss, {"w": w}, np.random.default_rng(0),
+                             tolerance=1e-6)
         assert not report["all_passed"]
 
 

@@ -6,10 +6,11 @@ import pytest
 
 from entqa import model as mdl
 from entqa import trainer as tr
-from entqa.corpus import build_templates, generate_corpus, instantiate_questions
+from entqa.corpus import (QAExample, build_gazetteer, build_templates,
+                          generate_corpus, instantiate_questions)
 from entqa.metrics import span_em, token_f1
 from entqa.model import ModelConfig
-from entqa.textpipe import Vocab
+from entqa.textpipe import SEMANTIC_TYPE_IDS, Vocab
 from entqa.trainer import (TrainConfig, TrainError, apply_system,
                            encode_evidence_examples, encode_examples, lr_at,
                            make_evidence_examples, train)
@@ -124,6 +125,32 @@ class TestEncoding:
         for e in evs:
             if e.label == 0:
                 assert e.sentence != evidence_by_q[e.question]
+
+    def test_evidence_pairs_carry_stored_tags(self):
+        # tags no gazetteer would give: evidence pairs take the example's
+        # own, shifted into the chosen sentence, as span pairs do
+        ex = QAExample(
+            id="x", note_id=0, question="which word?",
+            question_template_id="t", lf_id=0,
+            context_sentences=["alpha beta.", "gamma delta."], evidence_idx=1,
+            answer={"sentence_index": 1, "char_start": 0, "char_end": 5,
+                    "text": "gamma"},
+            question_tags=[["sosy", 0, 5]],
+            context_tags=[["topp", 6, 10], ["clnd", 18, 23]])
+        gazetteer = build_gazetteer()
+        assert not any(gazetteer.tag(t) for t in
+                       [ex.question] + ex.context_sentences)
+        pos, neg = make_evidence_examples([ex], np.random.default_rng(0))
+        assert (pos.label, pos.sentence_tags) == (1, [["clnd", 6, 11]])
+        assert (neg.label, neg.sentence_tags) == (0, [["topp", 6, 10]])
+        vocab = Vocab.build([ex.question] + ex.context_sentences)
+        pairs = encode_evidence_examples([pos, neg], vocab, 16)[0]
+        # [CLS] which word ? [SEP] <sentence tokens> [SEP]
+        sosy, clnd, topp = (SEMANTIC_TYPE_IDS[c] for c in ("sosy", "clnd", "topp"))
+        np.testing.assert_array_equal(pairs[0].entity_ids[:9],
+                                      [0, sosy, 0, 0, 0, 0, clnd, 0, 0])
+        np.testing.assert_array_equal(pairs[1].entity_ids[:9],
+                                      [0, sosy, 0, 0, 0, 0, topp, 0, 0])
 
     def test_encode_evidence(self):
         examples, vocab = paragraph_dataset()
@@ -360,7 +387,8 @@ class TestEvaluatePairs:
             return out
 
         monkeypatch.setattr(mdl, "forward", recording)
-        report = tr.evaluate_pairs(params, config, pairs, batch_size=8)
+        monkeypatch.setattr(tr, "EVAL_BATCH_SIZE", 8)
+        report = tr.evaluate_pairs(params, config, pairs)
         assert len(seen) == 3 * 4  # fused, LF, start and end per batch
         assert not any(t.requires_grad for t in seen)
 
@@ -368,7 +396,7 @@ class TestEvaluatePairs:
         seen.clear()
         monkeypatch.setattr(mdl, "forward", lambda _views, *args, **kwargs:
                             recording(params, *args, **kwargs))
-        reference = tr.evaluate_pairs(params, config, pairs, batch_size=8)
+        reference = tr.evaluate_pairs(params, config, pairs)
         assert all(t.requires_grad for t in seen)
         assert report == reference
 
@@ -388,9 +416,9 @@ class TestEvaluatePairs:
             return out
 
         monkeypatch.setattr(mdl, "forward", recording)
+        monkeypatch.setattr(tr, "EVAL_BATCH_SIZE", 8)
         test = pairs[40:]
-        report = tr.evaluate_pairs(result.params, result.model_config, test,
-                                   batch_size=8)
+        report = tr.evaluate_pairs(result.params, result.model_config, test)
         # per example: brute-force best span, text cut from the context,
         # then per-LF sums in example order
         ems, f1s, per_lf = [], [], {}
