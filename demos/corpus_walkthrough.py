@@ -23,8 +23,8 @@ for sent in note.sentences[:5]:
 gaz = build_gazetteer()
 sentence = note.sentences[note.facts[0].sentence_idx]
 print("\ntagged:", sentence)
-for tag in gaz.tag(sentence):
-    print(f"  [{tag.semantic_type}] {sentence[tag.char_start:tag.char_end]!r}")
+for code, start, end in gaz.tag(sentence):
+    print(f"  [{code}] {sentence[start:end]!r}")
 
 # ---------------------------------------------------------------------------
 # 3. Every fact spawns one question per compatible template; paraphrases

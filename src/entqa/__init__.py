@@ -16,14 +16,14 @@ from .model import ModelConfig, decode_span, forward, fuse, init_params
 from .optim import AdamState, adam_step
 from .splits import SplitAssignment, filter_examples, make_assignment
 from .tensor import Tensor, attention, gradcheck, softmax_cross_entropy
-from .textpipe import EntityTag, Gazetteer, Vocab, encode_pair, tokenize
+from .textpipe import Gazetteer, Vocab, encode_pair, tokenize
 from .trainer import TrainConfig, evaluate_pairs, run_matrix, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "adam_step", "attention", "build_gazetteer",
-    "build_templates", "decode_span", "encode_pair", "EntityTag",
+    "build_templates", "decode_span", "encode_pair",
     "EvalReport", "evaluate_pairs", "evidence_scores", "filter_examples",
     "forward", "fuse", "generate_corpus", "gradcheck", "Gazetteer",
     "init_params", "instantiate_questions", "lf_exact_scores",

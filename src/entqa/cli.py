@@ -22,9 +22,9 @@ from . import trainer as tr
 from .checkpoint import (CheckpointError, atomic_write, load_checkpoint,
                          restore_params, save_checkpoint)
 from .corpus import (ConfigurationError, DatasetError, LOGICAL_FORMS,
-                     build_gazetteer, build_paragraph_context, build_templates,
-                     generate_corpus, instantiate_questions, lf_tokenize,
-                     read_dataset, write_dataset)
+                     build_paragraph_context, build_templates, generate_corpus,
+                     instantiate_questions, lf_tokenize, read_dataset,
+                     write_dataset)
 from .model import ModelConfig
 from .splits import SplitAssignment, SplitError, filter_examples, \
     leakage_audit, make_assignment
@@ -138,7 +138,6 @@ def cmd_gen_data(args) -> int:
         write_dataset(examples, out / "corpus.jsonl")
     except OSError as exc:
         raise CliError(f"cannot write to {out}: {exc}")
-    build_gazetteer().save(out / "gazetteer.json")
     vocab = Vocab.build([ex.question for ex in examples]
                         + [ex.context_text for ex in examples])
     vocab.save(out / "vocab.txt")
@@ -189,7 +188,15 @@ def _resolve_split(args, examples):
     return filter_examples(examples, assignment)
 
 
+# model keys every system sets for itself (trainer.apply_system)
+SYSTEM_KEYS = ("model.mode", "model.use_entities")
+
+
 def _build_model_config(overrides: dict, vocab: Vocab) -> ModelConfig:
+    for key in SYSTEM_KEYS:
+        if key in overrides:
+            raise CliError(f"{key} cannot be set: the system decides it "
+                           "(--system, or each run-matrix row)")
     return _apply_prefixed(ModelConfig, "model", overrides,
                            vocab_size=len(vocab))
 

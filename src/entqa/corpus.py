@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .textpipe import Gazetteer
+from .textpipe import SEMANTIC_TYPE_IDS, Gazetteer
 
 # ---------------------------------------------------------------------------
 # Logical form inventory: eight relation forms plus the dosage form.
@@ -487,6 +487,35 @@ def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
 # QA examples.
 # ---------------------------------------------------------------------------
 
+class DatasetError(ValueError):
+    pass
+
+
+ANSWER_KEYS = {"sentence_index", "char_start", "char_end", "text"}
+
+
+def _is_span(start, end, length: int) -> bool:
+    """Integer offsets with 0 <= start < end <= length."""
+    return type(start) is int and type(end) is int and 0 <= start < end <= length
+
+
+def _check_tags(name: str, tags, length: int):
+    """Each tag a [type, start, end] list: a known semantic type over a
+    span of a `length`-character text."""
+    if not isinstance(tags, list):
+        raise DatasetError(f"{name}: not a list of [type, start, end] tags")
+    for i, tag in enumerate(tags):
+        if not (isinstance(tag, list) and len(tag) == 3):
+            raise DatasetError(
+                f"{name}[{i}]: {tag!r} is not a [type, start, end] list")
+        code, start, end = tag
+        if not (isinstance(code, str) and code in SEMANTIC_TYPE_IDS):
+            raise DatasetError(f"{name}[{i}]: unknown semantic type {code!r}")
+        if not _is_span(start, end, length):
+            raise DatasetError(f"{name}[{i}]: [{start!r}, {end!r}] is not a "
+                               f"span of the {length}-character text")
+
+
 @dataclass
 class QAExample:
     id: str
@@ -499,6 +528,43 @@ class QAExample:
     answer: dict   # {sentence_index, char_start, char_end, text}
     question_tags: list = field(default_factory=list)  # [type, start, end]
     context_tags: list = field(default_factory=list)
+
+    def __post_init__(self):
+        """Check what encoding and scoring rely on, naming the field at
+        fault; generated and read records pass the same check."""
+        if not isinstance(self.question, str):
+            raise DatasetError("question: not a string")
+        sentences = self.context_sentences
+        if not (isinstance(sentences, list) and sentences
+                and all(isinstance(s, str) for s in sentences)):
+            raise DatasetError(
+                "context_sentences: not a non-empty list of strings")
+        if not (type(self.lf_id) is int and 0 <= self.lf_id < NUM_LF):
+            raise DatasetError(f"lf_id: {self.lf_id!r} is not in [0, {NUM_LF})")
+        n = len(sentences)
+        if not (type(self.evidence_idx) is int and 0 <= self.evidence_idx < n):
+            raise DatasetError(f"evidence_idx: {self.evidence_idx!r} does not "
+                               f"index the {n} context sentences")
+        answer = self.answer
+        if not (isinstance(answer, dict) and answer.keys() == ANSWER_KEYS):
+            raise DatasetError(
+                f"answer: keys must be exactly {sorted(ANSWER_KEYS)}")
+        index = answer["sentence_index"]
+        if type(index) is not int or index != self.evidence_idx:
+            raise DatasetError(f"answer.sentence_index: {index!r} is not "
+                               f"evidence_idx {self.evidence_idx}")
+        sentence = sentences[index]
+        start, end = answer["char_start"], answer["char_end"]
+        if not _is_span(start, end, len(sentence)):
+            raise DatasetError(
+                f"answer.char_start/char_end: [{start!r}, {end!r}] is not a "
+                f"span of the {len(sentence)}-character evidence sentence")
+        if answer["text"] != sentence[start:end]:
+            raise DatasetError(
+                f"answer.text: {answer['text']!r} is not the evidence "
+                f"sentence's [{start}, {end}) slice {sentence[start:end]!r}")
+        _check_tags("question_tags", self.question_tags, len(self.question))
+        _check_tags("context_tags", self.context_tags, len(self.context_text))
 
     @property
     def context_text(self) -> str:
@@ -522,11 +588,6 @@ class QAExample:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def _tags_as_lists(gazetteer: Gazetteer, text: str) -> list:
-    return [[t.semantic_type, t.char_start, t.char_end]
-            for t in gazetteer.tag(text)]
 
 
 def instantiate_questions(notes: list[Note],
@@ -561,8 +622,8 @@ def instantiate_questions(notes: list[Note],
                     evidence_idx=0,
                     answer={"sentence_index": 0, "char_start": cs,
                             "char_end": ce, "text": sentence[cs:ce]},
-                    question_tags=_tags_as_lists(gazetteer, question),
-                    context_tags=_tags_as_lists(gazetteer, sentence),
+                    question_tags=gazetteer.tag(question),
+                    context_tags=gazetteer.tag(sentence),
                 )
                 examples.append(ex)
     return examples
@@ -608,7 +669,7 @@ def build_paragraph_context(example: QAExample, note: Note,
         question_template_id=example.question_template_id, lf_id=example.lf_id,
         context_sentences=sentences, evidence_idx=l_pre, answer=answer,
         question_tags=example.question_tags,
-        context_tags=_tags_as_lists(build_gazetteer(), " ".join(sentences)),
+        context_tags=build_gazetteer().tag(" ".join(sentences)),
     )
     return out
 
@@ -620,10 +681,6 @@ def build_paragraph_context(example: QAExample, note: Note,
 REQUIRED_FIELDS = [f.name for f in fields(QAExample)]
 
 
-class DatasetError(ValueError):
-    pass
-
-
 def write_dataset(examples, path):
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
@@ -631,7 +688,8 @@ def write_dataset(examples, path):
 
 
 def read_dataset(path):
-    """Yield QAExamples one line at a time; validates each record."""
+    """Yield QAExamples one line at a time; a record that fails its
+    check raises a DatasetError naming the line and the field."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -650,4 +708,8 @@ def read_dataset(path):
             unknown = [k for k in obj if k not in REQUIRED_FIELDS]
             if unknown:
                 raise DatasetError(f"line {lineno}: unknown field '{unknown[0]}'")
-            yield QAExample(**obj)
+            try:
+                example = QAExample(**obj)
+            except DatasetError as e:
+                raise DatasetError(f"line {lineno}: {e}") from e
+            yield example

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import atomic_write
+from .checkpoint import CheckpointError, atomic_write
 from .tensor import Tensor
 from .textpipe import EncodedPair
 
@@ -68,8 +68,13 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path) -> "ModelConfig":
+        """A saved config; malformed JSON, an unknown or missing key or a
+        bad value raises CheckpointError naming the file."""
         with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            try:
+                return cls(**json.load(fh))
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(f"bad model config {path}: {exc}") from exc
 
 
 @dataclass

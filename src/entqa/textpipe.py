@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +37,7 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
 
 
 class Vocab:
-    """Token-to-id map with fixed reserved ids; `build` drops tokens seen
-    fewer than `min_frequency` times."""
+    """Token-to-id map with fixed reserved ids."""
 
     def __init__(self, tokens: list[str] | None = None):
         self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(RESERVED)}
@@ -52,19 +49,14 @@ class Vocab:
     def __len__(self):
         return len(self._token_to_id)
 
-    def __contains__(self, token: str):
-        return token in self._token_to_id
-
     def id_for(self, token: str) -> int:
         return self._token_to_id.get(token, self._token_to_id[UNK])
 
     @classmethod
-    def build(cls, texts, min_frequency: int = 1) -> "Vocab":
-        counts = Counter()
-        for text in texts:
-            counts.update(tok for tok, _, _ in tokenize(text))
-        kept = sorted(t for t, c in counts.items() if c >= min_frequency)
-        return cls(kept)
+    def build(cls, texts) -> "Vocab":
+        """Every token of `texts`, in sorted order."""
+        return cls(sorted({tok for text in texts
+                           for tok, _, _ in tokenize(text)}))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -78,21 +70,6 @@ class Vocab:
         return cls(tokens)
 
 
-@dataclass(frozen=True)
-class EntityTag:
-    """One tagged mention: a semantic type over a character span."""
-
-    semantic_type: str
-    char_start: int
-    char_end: int
-
-    def __post_init__(self):
-        if self.char_start >= self.char_end:
-            raise ValueError(f"empty tag span [{self.char_start}, {self.char_end})")
-        if self.semantic_type not in SEMANTIC_TYPE_IDS:
-            raise ValueError(f"unknown semantic type {self.semantic_type!r}")
-
-
 class Gazetteer:
     """Case-insensitive longest-match-first surface-form tagger."""
 
@@ -100,7 +77,6 @@ class Gazetteer:
         for code in entries.values():
             if code not in SEMANTIC_TYPE_IDS:
                 raise ValueError(f"unknown semantic type {code!r} in gazetteer")
-        self.entries = dict(entries)
         self._by_tokens: dict[tuple, str] = {}
         self._max_len = 1
         for surface, code in entries.items():
@@ -109,17 +85,10 @@ class Gazetteer:
                 self._by_tokens[toks] = code
                 self._max_len = max(self._max_len, len(toks))
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.entries, fh, indent=0, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "Gazetteer":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
-
-    def tag(self, text: str) -> list[EntityTag]:
-        """Scan left to right, preferring the longest match; no overlaps."""
+    def tag(self, text: str) -> list[list]:
+        """[type, start, end] per mention, the character offsets into
+        `text`; scans left to right, preferring the longest match, with no
+        overlaps."""
         toks = tokenize(text)
         tags = []
         i = 0
@@ -129,7 +98,7 @@ class Gazetteer:
                 key = tuple(t for t, _, _ in toks[i:i + n])
                 code = self._by_tokens.get(key)
                 if code is not None:
-                    tags.append(EntityTag(code, toks[i][1], toks[i + n - 1][2]))
+                    tags.append([code, toks[i][1], toks[i + n - 1][2]])
                     matched = n
                     break
             i += matched if matched else 1
@@ -151,21 +120,24 @@ class EncodedPair:
     meta: dict = field(default_factory=dict)
 
 
-def _entity_ids_for(tokens, tags: list[EntityTag]) -> list[int]:
+def _entity_ids_for(tokens, tags: list) -> list[int]:
     ids = [0] * len(tokens)
-    for tag in tags:
-        tid = SEMANTIC_TYPE_IDS[tag.semantic_type]
+    for code, start, end in tags:
+        tid = SEMANTIC_TYPE_IDS[code]
         for i, (_, s, e) in enumerate(tokens):
-            if s < tag.char_end and e > tag.char_start:
+            if s < end and e > start:
                 ids[i] = tid
     return ids
 
 
 def encode_pair(question: str, context: str, vocab: Vocab, max_seq_len: int,
-                question_tags: list[EntityTag] | None = None,
-                context_tags: list[EntityTag] | None = None,
+                question_tags: list | None = None,
+                context_tags: list | None = None,
                 answer_char_span: tuple[int, int] | None = None) -> EncodedPair:
     """Encode a question/context pair; context truncated from the right.
+
+    Tags are [type, start, end] lists, as `Gazetteer.tag` returns them,
+    with character offsets into the question or the context.
 
     The question is never truncated: if it alone exceeds the budget an
     EncodingError is raised. An answer whose tokens fall past the

@@ -16,7 +16,7 @@ from .corpus import LOGICAL_FORMS, QAExample
 from .model import Batch, ModelConfig
 from .optim import AdamState, adam_step
 from .tensor import GradientError, Tensor
-from .textpipe import EntityTag, Vocab, encode_pair
+from .textpipe import Vocab, encode_pair
 
 SYSTEMS = ("baseline", "fused", "multitask", "evidence")
 
@@ -76,10 +76,6 @@ def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
 # Example encoding.
 # ---------------------------------------------------------------------------
 
-def _tags(raw) -> list[EntityTag]:
-    return [EntityTag(t, s, e) for t, s, e in raw]
-
-
 def encode_examples(examples: list[QAExample], vocab: Vocab,
                     max_seq_len: int):
     """Encode QA examples for span training; questions whose answer lies
@@ -88,8 +84,7 @@ def encode_examples(examples: list[QAExample], vocab: Vocab,
     for ex in examples:
         pair = encode_pair(
             ex.question, ex.context_text, vocab, max_seq_len,
-            question_tags=_tags(ex.question_tags),
-            context_tags=_tags(ex.context_tags),
+            question_tags=ex.question_tags, context_tags=ex.context_tags,
             answer_char_span=ex.answer_char_span_in_context())
         pair.meta = {"id": ex.id, "context": ex.context_text,
                      "gold": ex.answer["text"], "lf_id": ex.lf_id}
@@ -133,8 +128,7 @@ def encode_evidence_examples(examples: list[EvidenceExample], vocab: Vocab,
     for ex in examples:
         pair = encode_pair(
             ex.question, ex.sentence, vocab, max_seq_len,
-            question_tags=_tags(ex.question_tags),
-            context_tags=_tags(ex.sentence_tags))
+            question_tags=ex.question_tags, context_tags=ex.sentence_tags)
         pair.meta = {"lf_id": ex.lf_id, "label": ex.label}
         pairs.append(pair)
         labels.append(ex.label)

@@ -38,14 +38,27 @@ def test_tracer_target_exists(owner, attr):
         f"{owner}.{attr} is gone; the traced benchmark run would fail"
 
 
+def _smoke_run(workload: str) -> dict:
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", "1", "--seconds", "1"],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=170)
+    assert run.returncode == 0
+    return json.loads(run.stdout.strip().splitlines()[-1])
+
+
 def test_matrix_sentence_smoke_run():
     # about 9 s; the run's scoring oracle compares evaluate_pairs with a
     # brute-force decode to 1e-12 on all four systems
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         "matrix-sentence", "--seed", "1", "--seconds", "1"],
-        cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=170)
-    assert run.returncode == 0
-    result = json.loads(run.stdout.strip().splitlines()[-1])
+    result = _smoke_run("matrix-sentence")
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_train_paragraph_smoke_run():
+    # about 12 s; the only tier-1 run of the paragraph path: tagged
+    # 15-20-sentence windows, default-size training and its checks. 8 of
+    # the 64 test questions lose their answer to truncation.
+    result = _smoke_run("train-paragraph")
+    assert result["correct"] is True
+    assert (result["failed"], result["attempted"]) == (8, 64)

@@ -34,8 +34,7 @@ def workspace(tmp_path_factory):
 class TestGenData:
     def test_outputs_and_manifest(self, workspace):
         data = workspace / "data"
-        for name in ("corpus.jsonl", "gazetteer.json", "vocab.txt",
-                     "manifest.json"):
+        for name in ("corpus.jsonl", "vocab.txt", "manifest.json"):
             assert (data / name).exists(), name
         manifest = json.loads((data / "manifest.json").read_text())
         assert manifest["command"] == "gen-data"
@@ -117,6 +116,55 @@ class TestSplit:
         assert f"line 2: {named}" in capsys.readouterr().err
 
 
+def _edit_tag(change):
+    """Apply `change` to a copy of the record's first context tag."""
+    def edit(record):
+        tags = [list(t) for t in record["context_tags"]]
+        tags[0] = change(tags[0])
+        return {**record, "context_tags": tags}
+    return edit
+
+
+def _edit_answer(**changes):
+    return lambda record: {**record, "answer": {**record["answer"], **changes}}
+
+
+BAD_RECORDS = {
+    "unknown_tag_type": (_edit_tag(lambda t: ["zzzz", t[1], t[2]]),
+                         "context_tags[0]"),
+    "two_item_tag": (_edit_tag(lambda t: t[:2]), "context_tags[0]"),
+    "tag_past_text": (_edit_tag(lambda t: [t[0], 5000, 5003]),
+                      "context_tags[0]"),
+    "tag_start_not_before_end": (_edit_tag(lambda t: [t[0], t[2], t[1]]),
+                                 "context_tags[0]"),
+    "evidence_idx_past_context": (lambda r: {**r, "evidence_idx": 99},
+                                  "evidence_idx"),
+    "sentence_index_not_evidence": (_edit_answer(sentence_index=99),
+                                    "answer.sentence_index"),
+    "answer_text_not_slice": (_edit_answer(text="a replaced answer"),
+                              "answer.text"),
+    "unknown_answer_key": (_edit_answer(extra=1), "answer"),
+}
+
+
+@pytest.mark.parametrize("command", ["split", "train"])
+@pytest.mark.parametrize("case", BAD_RECORDS)
+def test_bad_record_exits_3(workspace, tmp_path, capsys, command, case):
+    # every record is checked where it is built, so split and train refuse
+    # the corpus before using it, naming the line and the field at fault
+    edit, named = BAD_RECORDS[case]
+    lines = (workspace / "data" / "corpus.jsonl").read_text().splitlines()
+    data = tmp_path / "corpus.jsonl"
+    data.write_text(lines[0] + "\n"
+                    + json.dumps(edit(json.loads(lines[1]))) + "\n")
+    args = {"split": ["split", "--mode", "pl"],
+            "train": ["train", "--vocab", str(workspace / "data" / "vocab.txt"),
+                      "--split", str(workspace / "pl" / "split.json")]}[command]
+    assert main(args + ["--data", str(data),
+                        "--out", str(tmp_path / "out")]) == 3
+    assert f"line 2: {named}:" in capsys.readouterr().err
+
+
 class TestTrainEval:
     def test_train_artifacts(self, workspace):
         run = workspace / "run"
@@ -153,6 +201,27 @@ class TestTrainEval:
                      "--split", str(workspace / "pl" / "split.json")])
         assert code == 3
         assert "digest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda text: text.replace("{", '{"extra": 1, ', 1), "extra"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "vocab_size"}), "vocab_size"),
+        (lambda text: text[:len(text) // 2], "bad model config")],
+        ids=["unknown_key", "missing_vocab_size", "truncated_json"])
+    def test_bad_model_config_exits_3(self, workspace, tmp_path, capsys,
+                                      edit, named):
+        import shutil
+        bad = tmp_path / "bad_run"
+        shutil.copytree(workspace / "run", bad)
+        path = bad / "model_config.json"
+        path.write_text(edit(path.read_text()))
+        code = main(["eval", "--run", str(bad),
+                     "--data", str(workspace / "data" / "corpus.jsonl"),
+                     "--vocab", str(workspace / "data" / "vocab.txt"),
+                     "--split", str(workspace / "pl" / "split.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
 
     def test_baseline_train_then_eval(self, workspace, tmp_path, capsys):
         data, split = workspace / "data", workspace / "pl" / "split.json"
@@ -218,6 +287,31 @@ class TestTrainEval:
                      "--out", "/tmp/never2"])
         assert code == 2
         assert "not_a_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "run-matrix"])
+@pytest.mark.parametrize("key,value", [("model.mode", "evidence"),
+                                       ("model.use_entities", False)])
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_system_keys_refused(workspace, tmp_path, capsys, command, key,
+                             value, source):
+    # apply_system sets these for every system, so an override would be
+    # silently discarded
+    data = workspace / "data"
+    args = [command, "--data", str(data / "corpus.jsonl"),
+            "--vocab", str(data / "vocab.txt"), "--out", str(tmp_path / "out")]
+    if command == "train":
+        args += ["--split", str(workspace / "pl" / "split.json"),
+                 "--system", "fused"]
+    if source == "set":
+        args += ["--set", f"{key}={json.dumps(value)}"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        args += ["--config", str(config)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert key in err and "--system" in err
 
 
 class TestGradcheck:

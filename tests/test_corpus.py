@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from entqa import corpus as C
-from entqa.corpus import (DatasetError, build_gazetteer, build_paragraph_context,
-                          build_templates, generate_corpus,
-                          instantiate_questions, lf_tokenize, read_dataset,
-                          write_dataset)
+from entqa.corpus import (DatasetError, QAExample, build_gazetteer,
+                          build_paragraph_context, build_templates,
+                          generate_corpus, instantiate_questions, lf_tokenize,
+                          read_dataset, write_dataset)
 
 
 class TestLfTokenize:
@@ -215,10 +215,64 @@ class TestDatasetIO:
         assert first.id == examples[0].id  # lazily yields without full load
 
 
+RECORD = {
+    "id": "x", "note_id": 0, "question": "dose of aspirin ?",
+    "question_template_id": "lf0_t0", "lf_id": 0,
+    "context_sentences": ["aspirin 40 mg daily ."], "evidence_idx": 0,
+    "answer": {"sentence_index": 0, "char_start": 8, "char_end": 13,
+               "text": "40 mg"},
+    "question_tags": [["clnd", 8, 15]],
+    "context_tags": [["clnd", 0, 7], ["qnco", 8, 13]],
+}
+
+
+class TestRecordCheck:
+    def test_accepts_valid_record(self):
+        assert QAExample(**RECORD).answer_char_span_in_context() == (8, 13)
+
+    def test_rejects_empty_span(self):
+        with pytest.raises(DatasetError, match=r"context_tags\[1\]"):
+            QAExample(**{**RECORD, "context_tags": [["clnd", 0, 7],
+                                                    ["qnco", 5, 5]]})
+
+    def test_rejects_unknown_type(self):
+        with pytest.raises(DatasetError, match=r"question_tags\[0\].*'nope'"):
+            QAExample(**{**RECORD, "question_tags": [["nope", 0, 2]]})
+
+    def test_rejects_non_integer_offset(self):
+        with pytest.raises(DatasetError, match="question_tags"):
+            QAExample(**{**RECORD, "question_tags": [["clnd", 8.0, 15]]})
+
+    def test_rejects_answer_past_sentence(self):
+        answer = {**RECORD["answer"], "char_end": 99}
+        with pytest.raises(DatasetError, match="answer.char_start/char_end"):
+            QAExample(**{**RECORD, "answer": answer})
+
+    def test_rejects_lf_id_outside_inventory(self):
+        with pytest.raises(DatasetError, match="lf_id"):
+            QAExample(**{**RECORD, "lf_id": len(C.LOGICAL_FORMS)})
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_records_round_trip(self, tmp_path, seed):
+        # both generators build records that pass the check and that
+        # read_dataset gives back unchanged
+        notes = generate_corpus(seed=seed, num_notes=3)
+        examples = instantiate_questions(notes, build_templates())
+        by_id = {n.note_id: n for n in notes}
+        rng = np.random.default_rng(seed)
+        examples += [build_paragraph_context(ex, by_id[ex.note_id], rng)
+                     for ex in examples]
+        path = tmp_path / "data.jsonl"
+        write_dataset(examples, path)
+        assert list(read_dataset(path)) == examples
+
+
 class TestGazetteerMembership:
     def test_all_slot_surfaces_tagged(self):
         gaz = build_gazetteer()
         for surface in (C.MEDICATIONS + C.CONDITIONS + C.SYMPTOMS
                         + C.PROCEDURES + C.DOSAGES):
+            start = len("note mentions ")
             tags = gaz.tag(f"note mentions {surface} today")
-            assert any(t.char_start == len("note mentions ") for t in tags), surface
+            assert [start, start + len(surface)] in [t[1:] for t in tags], \
+                surface
