@@ -1,10 +1,10 @@
-"""Walk through the synthetic clinical QA corpus: notes, entity tagging,
+"""Walk through the synthetic clinical QA corpus: notes, entity tags,
 question templates, logical forms, and the paraphrase-level split."""
 
 from collections import Counter
 
-from entqa.corpus import (LOGICAL_FORMS, build_gazetteer, build_templates,
-                          generate_corpus, instantiate_questions, lf_tokenize)
+from entqa.corpus import (LOGICAL_FORMS, build_templates, generate_corpus,
+                          instantiate_questions, lf_tokenize)
 from entqa.splits import filter_examples, leakage_audit, make_assignment
 
 # ---------------------------------------------------------------------------
@@ -18,12 +18,13 @@ for sent in note.sentences[:5]:
     print("  -", sent)
 
 # ---------------------------------------------------------------------------
-# 2. The gazetteer tags clinical surface forms with semantic types.
+# 2. The generator tags each clinical value it writes with a semantic
+#    type; the note keeps one tag list per sentence.
 # ---------------------------------------------------------------------------
-gaz = build_gazetteer()
-sentence = note.sentences[note.facts[0].sentence_idx]
+index = note.facts[0].sentence_idx
+sentence = note.sentences[index]
 print("\ntagged:", sentence)
-for code, start, end in gaz.tag(sentence):
+for code, start, end in note.tags[index]:
     print(f"  [{code}] {sentence[start:end]!r}")
 
 # ---------------------------------------------------------------------------

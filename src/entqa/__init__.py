@@ -1,31 +1,29 @@
 """Entity-enriched multi-task extractive QA over clinical-style text.
 
 A framework-free stack: a float64 autodiff tensor core, a word-level
-text pipeline with a semantic-type gazetteer, a synthetic clinical QA
-corpus generator, paraphrase-level train/test splitting, a transformer
+text pipeline, a synthetic clinical QA corpus generator that tags the
+entities it writes, paraphrase-level train/test splitting, a transformer
 encoder with entity-information fusion and span / logical-form /
 evidence heads, and a full evaluation suite.
 """
 
-from .corpus import (LOGICAL_FORMS, QAExample, build_gazetteer,
-                     build_templates, generate_corpus, instantiate_questions,
-                     lf_tokenize)
+from .corpus import (LOGICAL_FORMS, QAExample, build_templates,
+                     generate_corpus, instantiate_questions, lf_tokenize)
 from .metrics import (EvalReport, evidence_scores, lf_exact_scores,
                       lf_relaxed_scores, span_em, token_f1)
 from .model import ModelConfig, decode_span, forward, fuse, init_params
 from .optim import AdamState, adam_step
 from .splits import SplitAssignment, filter_examples, make_assignment
 from .tensor import Tensor, attention, gradcheck, softmax_cross_entropy
-from .textpipe import Gazetteer, Vocab, encode_pair, tokenize
+from .textpipe import Vocab, encode_pair, tokenize
 from .trainer import TrainConfig, evaluate_pairs, run_matrix, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "adam_step", "attention", "build_gazetteer",
-    "build_templates", "decode_span", "encode_pair",
-    "EvalReport", "evaluate_pairs", "evidence_scores", "filter_examples",
-    "forward", "fuse", "generate_corpus", "gradcheck", "Gazetteer",
+    "AdamState", "adam_step", "attention", "build_templates", "decode_span",
+    "encode_pair", "EvalReport", "evaluate_pairs", "evidence_scores",
+    "filter_examples", "forward", "fuse", "generate_corpus", "gradcheck",
     "init_params", "instantiate_questions", "lf_exact_scores",
     "lf_relaxed_scores", "lf_tokenize", "LOGICAL_FORMS", "make_assignment",
     "ModelConfig", "QAExample", "run_matrix", "softmax_cross_entropy",

@@ -98,11 +98,11 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def write_manifest(out_dir: Path, command: str, resolved: dict,
+def write_manifest(out_dir: Path, command: str, argv: list, resolved: dict,
                    seed: int | None):
     manifest = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": argv,
         "resolved_config": resolved,
         "seed": seed,
         "git_describe": _git_describe(),
@@ -146,7 +146,7 @@ def cmd_gen_data(args) -> int:
                 "facts_per_note": args.facts_per_note,
                 "distractor_rate": args.distractor_rate,
                 "n_examples": len(examples), "vocab_size": len(vocab)}
-    write_manifest(out, "gen-data", resolved, args.seed)
+    write_manifest(out, "gen-data", args.argv, resolved, args.seed)
     _emit(resolved, args.json,
           f"wrote {len(examples)} examples ({args.setting} setting), "
           f"vocab of {len(vocab)} to {out}")
@@ -176,7 +176,7 @@ def cmd_split(args) -> int:
                 "sizes": {"train": len(train), "val": len(val),
                           "test": len(test)},
                 "leakage": audit}
-    write_manifest(out, "split", resolved, args.seed)
+    write_manifest(out, "split", args.argv, resolved, args.seed)
     _emit(resolved, args.json,
           f"split {args.mode}: train={len(train)} val={len(val)} "
           f"test={len(test)}; leakage audit: {audit}")
@@ -234,7 +234,7 @@ def cmd_train(args) -> int:
                     result.model_config.digest())
     resolved = {"model": dataclasses.asdict(result.model_config),
                 "train": dataclasses.asdict(train_config)}
-    write_manifest(out, "train", resolved, train_config.seed)
+    write_manifest(out, "train", args.argv, resolved, train_config.seed)
     summary = {"best_val_f1": result.best_val_f1,
                "steps": len(result.log),
                "stopped_early": result.stopped_early,
@@ -271,7 +271,7 @@ def cmd_eval(args) -> int:
         report.save(out / "report.json")
         if report.confusion:
             report.save_confusion_csv(out / "confusion.csv")
-        write_manifest(out, "eval",
+        write_manifest(out, "eval", args.argv,
                        {"run": str(run_dir), "subset": args.subset},
                        args.seed)
     print(json.dumps(report.to_json(), sort_keys=True))
@@ -326,7 +326,8 @@ def cmd_run_matrix(args) -> int:
     resolved = {"model": dataclasses.asdict(model_config),
                 "train": dataclasses.asdict(train_config),
                 "seeds": seeds, "split_seed": args.split_seed}
-    write_manifest(out, "run-matrix", resolved, args.split_seed)
+    write_manifest(out, "run-matrix", args.argv, resolved,
+                   args.split_seed)
     if args.json:
         cells = {f"{system}/{mode}": cell
                  for (system, mode), cell in result["cells"].items()}
@@ -439,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except CliError as exc:

@@ -8,7 +8,6 @@ character spans inside the evidence sentence.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from collections import Counter
@@ -16,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .textpipe import SEMANTIC_TYPE_IDS, Gazetteer
+from .textpipe import SEMANTIC_TYPE_IDS
 
 # ---------------------------------------------------------------------------
 # Logical form inventory: eight relation forms plus the dosage form.
@@ -70,7 +69,7 @@ LOGICAL_FORMS = [LogicalForm(i, s) for i, s in enumerate(LF_STRINGS)]
 
 
 # ---------------------------------------------------------------------------
-# Slot vocabularies (every surface form is a gazetteer member).
+# Slot vocabularies, and the semantic type of each tagged surface form.
 # ---------------------------------------------------------------------------
 
 MEDICATIONS = [
@@ -118,27 +117,23 @@ SIGS = [
 ]
 
 
-@functools.cache
-def build_gazetteer() -> Gazetteer:
-    """Gazetteer over every slot surface form, keyed by semantic type.
+# Sig values have no type and stay untagged.
+ENTITY_TYPES = {
+    **dict.fromkeys(MEDICATIONS, "clnd"),
+    **dict.fromkeys(CONDITIONS, "fndg"),
+    **dict.fromkeys(SYMPTOMS, "sosy"),
+    **dict.fromkeys(PROCEDURES_DIAP, "diap"),
+    **dict.fromkeys(PROCEDURES_LBPR, "lbpr"),
+    **dict.fromkeys(PROCEDURES_TOPP, "topp"),
+    **dict.fromkeys(DOSAGES, "qnco"),
+}
 
-    Built once per process; every caller shares the instance."""
-    entries: dict[str, str] = {}
-    for m in MEDICATIONS:
-        entries[m] = "clnd"
-    for c in CONDITIONS:
-        entries[c] = "fndg"
-    for s in SYMPTOMS:
-        entries[s] = "sosy"
-    for p in PROCEDURES_DIAP:
-        entries[p] = "diap"
-    for p in PROCEDURES_LBPR:
-        entries[p] = "lbpr"
-    for p in PROCEDURES_TOPP:
-        entries[p] = "topp"
-    for d in DOSAGES:
-        entries[d] = "qnco"
-    return Gazetteer(entries)
+
+def _tags_for(value: str, start: int) -> list:
+    """The [type, start, end] tag of `value` placed at `start`, if it has
+    a type."""
+    code = ENTITY_TYPES.get(value)
+    return [] if code is None else [[code, start, start + len(value)]]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +352,7 @@ class Note:
     note_id: int
     sentences: list
     facts: list
+    tags: list  # per sentence, its [type, start, end] tags
 
 
 class ConfigurationError(ValueError):
@@ -366,11 +362,14 @@ class ConfigurationError(ValueError):
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
-def _render(template: str, values: dict, answer_key: str) -> tuple[str, tuple]:
-    """Fill a sentence template, returning the answer's char span."""
+def _render(template: str, values: dict,
+            answer_key: str) -> tuple[str, tuple, list]:
+    """Fill a sentence template, returning the answer's char span and a
+    tag for each placed value that has a semantic type."""
     out = []
     pos = 0
     span = None
+    tags = []
     last = 0
     for m in _PLACEHOLDER_RE.finditer(template):
         lit = template[last:m.start()]
@@ -379,11 +378,12 @@ def _render(template: str, values: dict, answer_key: str) -> tuple[str, tuple]:
         val = values[m.group(1)]
         if m.group(1) == answer_key:
             span = (pos, pos + len(val))
+        tags += _tags_for(val, pos)
         out.append(val)
         pos += len(val)
         last = m.end()
     out.append(template[last:])
-    return "".join(out), span
+    return "".join(out), span, tags
 
 
 def _sample_entity(rng, pool, used: set) -> str:
@@ -419,7 +419,8 @@ def _make_fact_values(kind: str, rng, used: dict) -> dict:
     return vals
 
 
-def _make_distractor(rng, used: dict) -> str:
+def _make_distractor(rng, used: dict) -> tuple[str, list]:
+    """A sentence that answers no question, and its tags."""
     tpl = DISTRACTOR_TEMPLATES[rng.integers(len(DISTRACTOR_TEMPLATES))]
     vals = {}
     if "{condition}" in tpl:
@@ -430,8 +431,8 @@ def _make_distractor(rng, used: dict) -> str:
         vals["symptom"] = _sample_entity(rng, SYMPTOMS, used["prob"])
     if "{procedure}" in tpl:
         vals["procedure"] = _sample_entity(rng, PROCEDURES, used["proc"])
-    sent, _ = _render(tpl, vals, answer_key="__none__")
-    return sent
+    sent, _, tags = _render(tpl, vals, answer_key="__none__")
+    return sent, tags
 
 
 def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
@@ -439,7 +440,7 @@ def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
     """Deterministically generate `num_notes` synthetic notes.
 
     Each fact is realized by exactly one sentence; distractor sentences
-    mention gazetteer entities but answer no question. The number of
+    mention typed entities but answer no question. The number of
     distractors per note is binomial with mean
     facts_per_note * rate / (1 - rate).
     """
@@ -460,26 +461,27 @@ def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
             vals = _make_fact_values(kind, rng, used)
             tpls = SENTENCE_TEMPLATES[kind]
             tpl = tpls[rng.integers(len(tpls))]
-            sent, span = _render(tpl, vals, FACT_KINDS[kind][1])
-            rendered.append((kind, vals, sent, span))
+            rendered.append((kind, vals,
+                             *_render(tpl, vals, FACT_KINDS[kind][1])))
         if distractor_rate > 0:
             n_trials = max(1, round(2 * facts_per_note * distractor_rate
                                     / (1 - distractor_rate)))
             n_distractors = int(rng.binomial(n_trials, 0.5))
         else:
             n_distractors = 0
-        sentences = [sent for _, _, sent, _ in rendered]
-        fact_slots = list(range(len(sentences)))
+        tagged = [(sent, tags) for _, _, sent, _, tags in rendered]
         for _ in range(n_distractors):
-            sentences.append(_make_distractor(rng, used))
-        order = rng.permutation(len(sentences))
+            tagged.append(_make_distractor(rng, used))
+        order = rng.permutation(len(tagged))
         placed = {old: new for new, old in enumerate(order)}
-        sentences = [sentences[old] for old in order]
+        sentences = [tagged[old][0] for old in order]
+        tags = [tagged[old][1] for old in order]
         facts = [Fact(kind=kind, slots=vals, sentence_idx=placed[i],
                       answer_char_span=span)
-                 for i, (kind, vals, sent, span) in enumerate(rendered)]
+                 for i, (kind, vals, _, span, _) in enumerate(rendered)]
         facts.sort(key=lambda f: f.sentence_idx)
-        notes.append(Note(note_id=note_id, sentences=sentences, facts=facts))
+        notes.append(Note(note_id=note_id, sentences=sentences, facts=facts,
+                          tags=tags))
     return notes
 
 
@@ -593,7 +595,6 @@ class QAExample:
 def instantiate_questions(notes: list[Note],
                           templates: list[QuestionTemplate]) -> list[QAExample]:
     """Sentence-setting examples: one per (fact, compatible template)."""
-    gazetteer = build_gazetteer()
     by_lf: dict[int, list[QuestionTemplate]] = {}
     for t in templates:
         by_lf.setdefault(t.lf_id, []).append(t)
@@ -607,10 +608,12 @@ def instantiate_questions(notes: list[Note],
             slot_name, _ = FACT_KINDS[fact.kind]
             slot_value = fact.slots.get(slot_name)
             sentence = note.sentences[fact.sentence_idx]
+            sentence_tags = note.tags[fact.sentence_idx]
             for tpl in by_lf[lf_id]:
                 if tpl.slot != slot_name or slot_value is None:
                     continue
                 question = tpl.fill(slot_value)
+                marker = tpl.pattern.index(f"|{slot_name}|")
                 cs, ce = fact.answer_char_span
                 ex = QAExample(
                     id=f"n{note.note_id}-f{fi}-{tpl.template_id}",
@@ -622,8 +625,8 @@ def instantiate_questions(notes: list[Note],
                     evidence_idx=0,
                     answer={"sentence_index": 0, "char_start": cs,
                             "char_end": ce, "text": sentence[cs:ce]},
-                    question_tags=gazetteer.tag(question),
-                    context_tags=gazetteer.tag(sentence),
+                    question_tags=_tags_for(slot_value, marker),
+                    context_tags=[list(t) for t in sentence_tags],
                 )
                 examples.append(ex)
     return examples
@@ -655,21 +658,26 @@ def build_paragraph_context(example: QAExample, note: Note,
     l_post = l_para - l_pre - 1
 
     used = {"med": set(), "prob": set(), "proc": set()}
-    before = note.sentences[max(0, ev_in_note - l_pre):ev_in_note]
+    tagged = list(zip(note.sentences, note.tags))
+    before = tagged[max(0, ev_in_note - l_pre):ev_in_note]
     while len(before) < l_pre:
         before.insert(0, _make_distractor(rng, used))
-    after = note.sentences[ev_in_note + 1:ev_in_note + 1 + l_post]
+    after = tagged[ev_in_note + 1:ev_in_note + 1 + l_post]
     while len(after) < l_post:
         after.append(_make_distractor(rng, used))
-    sentences = before + [ev_sent] + after
+    sentences, context_tags, offset = [], [], 0
+    for sentence, tags in before + [tagged[ev_in_note]] + after:
+        sentences.append(sentence)
+        context_tags += [[t, s + offset, e + offset] for t, s, e in tags]
+        offset += len(sentence) + 1
     answer = dict(example.answer)
     answer["sentence_index"] = l_pre
     out = QAExample(
         id=example.id, note_id=example.note_id, question=example.question,
         question_template_id=example.question_template_id, lf_id=example.lf_id,
         context_sentences=sentences, evidence_idx=l_pre, answer=answer,
-        question_tags=example.question_tags,
-        context_tags=build_gazetteer().tag(" ".join(sentences)),
+        question_tags=[list(t) for t in example.question_tags],
+        context_tags=context_tags,
     )
     return out
 

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import CheckpointError, atomic_write
+from .corpus import NUM_LF
 from .tensor import Tensor
-from .textpipe import EncodedPair
+from .textpipe import SEMANTIC_TYPE_IDS, EncodedPair
 
 
 @dataclass
@@ -30,11 +31,9 @@ class ModelConfig:
     hidden_dim: int = 128
     layers: int = 4
     heads: int = 4
-    entity_vocab_size: int = 20
     entity_dim: int = 100
     entity_attention_layers: int = 1
     entity_heads: int = 4
-    num_lf_classes: int = 9
     omega: float = 0.3
     dropout: float = 0.1
     max_seq_len: int = 128
@@ -47,8 +46,7 @@ class ModelConfig:
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
         for name in ("vocab_size", "hidden_dim", "layers", "heads",
-                     "entity_vocab_size", "entity_dim", "num_lf_classes",
-                     "max_seq_len", "max_answer_len"):
+                     "entity_dim", "max_seq_len", "max_answer_len"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.hidden_dim % self.heads:
@@ -57,6 +55,15 @@ class ModelConfig:
             raise ValueError("entity_dim must be divisible by entity_heads")
         if self.mode not in ("span", "evidence"):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+    @property
+    def entity_vocab_size(self) -> int:
+        """Entity ids: 0 for no entity, then one per semantic type."""
+        return len(SEMANTIC_TYPE_IDS) + 1
+
+    @property
+    def num_lf_classes(self) -> int:
+        return NUM_LF
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import DatasetError
+
 
 class SplitError(ValueError):
     pass
@@ -28,6 +30,13 @@ class SplitAssignment:
     test_notes: set
     templates_train: dict = field(default_factory=dict)  # lf_id -> [tid]
     templates_eval: dict = field(default_factory=dict)   # lf_id -> [tid]
+
+    def __post_init__(self):
+        if self.mode not in ("pl", "r"):
+            raise SplitError(f"unknown split mode {self.mode!r}")
+        for name in ("train_notes", "val_notes", "test_notes"):
+            if not all(type(i) is int for i in getattr(self, name)):
+                raise SplitError(f"{name}: note ids must be integers")
 
     def to_json(self) -> dict:
         return {
@@ -60,8 +69,16 @@ class SplitAssignment:
 
     @classmethod
     def load(cls, path) -> "SplitAssignment":
+        """A saved assignment; malformed JSON, a missing field or a bad
+        value raises DatasetError naming the file."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except KeyError as exc:
+                raise DatasetError(
+                    f"bad split file {path}: missing field {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise DatasetError(f"bad split file {path}: {exc}") from exc
 
 
 def split_notes(note_ids, ratios: tuple, seed: int):
@@ -113,8 +130,6 @@ SPLIT_RATIOS = (0.7, 0.15, 0.15)   # train / val / test share of notes
 
 def make_assignment(notes, templates, mode: str, seed: int,
                     train_frac: float = 0.7) -> SplitAssignment:
-    if mode not in ("pl", "r"):
-        raise SplitError(f"unknown split mode {mode!r}")
     note_ids = [n.note_id for n in notes]
     train_n, val_n, test_n = split_notes(note_ids, SPLIT_RATIOS, seed)
     by_lf: dict[int, list] = {}

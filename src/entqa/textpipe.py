@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary, gazetteer entity tagging and sequence encoding."""
+"""Tokenization, vocabulary and sequence encoding."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 RESERVED = [PAD, UNK, CLS, SEP]
 
-# Clinical semantic type codes recognized by the gazetteer tagger.
+# Clinical semantic type codes an entity tag may carry.
 SEMANTIC_TYPES = [
     "acab", "aggp", "anab", "anst", "bpoc", "cgab", "clnd", "diap", "emod",
     "evnt", "fndg", "inpo", "lbpr", "lbtr", "phob", "qnco", "sbst", "sosy",
@@ -70,41 +70,6 @@ class Vocab:
         return cls(tokens)
 
 
-class Gazetteer:
-    """Case-insensitive longest-match-first surface-form tagger."""
-
-    def __init__(self, entries: dict[str, str]):
-        for code in entries.values():
-            if code not in SEMANTIC_TYPE_IDS:
-                raise ValueError(f"unknown semantic type {code!r} in gazetteer")
-        self._by_tokens: dict[tuple, str] = {}
-        self._max_len = 1
-        for surface, code in entries.items():
-            toks = tuple(t for t, _, _ in tokenize(surface))
-            if toks:
-                self._by_tokens[toks] = code
-                self._max_len = max(self._max_len, len(toks))
-
-    def tag(self, text: str) -> list[list]:
-        """[type, start, end] per mention, the character offsets into
-        `text`; scans left to right, preferring the longest match, with no
-        overlaps."""
-        toks = tokenize(text)
-        tags = []
-        i = 0
-        while i < len(toks):
-            matched = 0
-            for n in range(min(self._max_len, len(toks) - i), 0, -1):
-                key = tuple(t for t, _, _ in toks[i:i + n])
-                code = self._by_tokens.get(key)
-                if code is not None:
-                    tags.append([code, toks[i][1], toks[i + n - 1][2]])
-                    matched = n
-                    break
-            i += matched if matched else 1
-        return tags
-
-
 @dataclass
 class EncodedPair:
     """A model-ready [CLS] question [SEP] context [SEP] sequence."""
@@ -136,7 +101,7 @@ def encode_pair(question: str, context: str, vocab: Vocab, max_seq_len: int,
                 answer_char_span: tuple[int, int] | None = None) -> EncodedPair:
     """Encode a question/context pair; context truncated from the right.
 
-    Tags are [type, start, end] lists, as `Gazetteer.tag` returns them,
+    Tags are [type, start, end] lists, as corpus records store them,
     with character offsets into the question or the context.
 
     The question is never truncated: if it alone exceeds the budget an

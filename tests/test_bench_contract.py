@@ -62,3 +62,12 @@ def test_train_paragraph_smoke_run():
     result = _smoke_run("train-paragraph")
     assert result["correct"] is True
     assert (result["failed"], result["attempted"]) == (8, 64)
+
+
+def test_eval_paragraph_smoke_run():
+    # about 17 s; the only tier-1 run that scores a reloaded default-size
+    # checkpoint on the paragraph test split. 8 of its 90 questions lose
+    # their answer to truncation.
+    result = _smoke_run("eval-paragraph")
+    assert result["correct"] is True
+    assert (result["failed"], result["attempted"]) == (8, 90)

@@ -103,7 +103,7 @@ def _config_writes(tmp_path, ok):
 
 
 def _manifest_writes(tmp_path, ok):
-    write_manifest(tmp_path, "train", {"lr": 1e-3 if ok else object()}, 0)
+    write_manifest(tmp_path, "train", [], {"lr": 1e-3 if ok else object()}, 0)
     return tmp_path / "manifest.json"
 
 

@@ -79,6 +79,14 @@ class TestSplit:
         assert manifest["resolved_config"]["leakage"]["note_overlap"] == 0
         assert manifest["resolved_config"]["leakage"]["template_overlap"] == 0
 
+    def test_manifest_records_parsed_argv(self, workspace, tmp_path):
+        argv = ["split", "--mode", "r",
+                "--data", str(workspace / "data" / "corpus.jsonl"),
+                "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["argv"] == argv
+
     def test_r_mode_trains_on_all_templates(self, workspace, tmp_path):
         out = tmp_path / "r"
         assert main(["split", "--mode", "r", "--seed", "0",
@@ -206,8 +214,11 @@ class TestTrainEval:
         (lambda text: text.replace("{", '{"extra": 1, ', 1), "extra"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                   if k != "vocab_size"}), "vocab_size"),
-        (lambda text: text[:len(text) // 2], "bad model config")],
-        ids=["unknown_key", "missing_vocab_size", "truncated_json"])
+        (lambda text: text[:len(text) // 2], "bad model config"),
+        (lambda text: text.replace("{", '{"num_lf_classes": 9, ', 1),
+         "num_lf_classes")],
+        ids=["unknown_key", "missing_vocab_size", "truncated_json",
+             "removed_key"])
     def test_bad_model_config_exits_3(self, workspace, tmp_path, capsys,
                                       edit, named):
         import shutil
@@ -277,6 +288,39 @@ class TestTrainEval:
                      "--split", str(workspace / "pl" / "split.json")])
         assert code == 3
         assert "parameter name mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda obj: json.dumps({k: v for k, v in obj.items()
+                                 if k != "test_notes"}),
+         "missing field 'test_notes'"),
+        (lambda obj: json.dumps(obj)[:40], "bad split file"),
+        (lambda obj: json.dumps({**obj, "mode": "zz"}), "split mode 'zz'"),
+        (lambda obj: json.dumps({**obj, "val_notes": ["1"]}),
+         "val_notes: note ids must be integers")],
+        ids=["missing_key", "truncated_json", "unknown_mode", "string_note_id"])
+    def test_bad_split_file_exits_3(self, workspace, tmp_path, capsys, edit,
+                                    named):
+        split = tmp_path / "split.json"
+        split.write_text(edit(json.loads(
+            (workspace / "pl" / "split.json").read_text())))
+        data = workspace / "data"
+        assert main(["train", "--data", str(data / "corpus.jsonl"),
+                     "--vocab", str(data / "vocab.txt"),
+                     "--split", str(split), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert str(split) in err and named in err
+
+    @pytest.mark.parametrize("key", ["entity_vocab_size", "num_lf_classes"])
+    def test_derived_model_key_is_unknown(self, workspace, tmp_path, capsys,
+                                          key):
+        # both follow from the inventories of semantic types and LFs
+        code = main(["train", "--data",
+                     str(workspace / "data" / "corpus.jsonl"),
+                     "--vocab", str(workspace / "data" / "vocab.txt"),
+                     "--split", str(workspace / "pl" / "split.json"),
+                     "--set", f"model.{key}=5", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"unknown model config key {key!r}" in capsys.readouterr().err
 
     def test_unknown_config_key(self, workspace, capsys):
         code = main(["train", "--data",

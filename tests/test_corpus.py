@@ -5,10 +5,49 @@ import numpy as np
 import pytest
 
 from entqa import corpus as C
-from entqa.corpus import (DatasetError, QAExample, build_gazetteer,
-                          build_paragraph_context, build_templates,
-                          generate_corpus, instantiate_questions, lf_tokenize,
-                          read_dataset, write_dataset)
+from entqa.corpus import (DatasetError, QAExample, build_paragraph_context,
+                          build_templates, generate_corpus,
+                          instantiate_questions, lf_tokenize, read_dataset,
+                          write_dataset)
+from entqa.textpipe import SEMANTIC_TYPE_IDS, tokenize
+
+
+def oracle_tagger(entries: dict):
+    """A reference tagger over `entries` (surface form -> semantic type):
+    scans the tokens left to right, case-insensitively, preferring the
+    longest surface form, with no overlaps, and returns [type, start, end]
+    per mention."""
+    by_tokens = {tuple(t for t, _, _ in tokenize(surface)): code
+                 for surface, code in entries.items()}
+    longest = max(map(len, by_tokens))
+
+    def tag(text: str) -> list:
+        toks = tokenize(text)
+        tags, i = [], 0
+        while i < len(toks):
+            for n in range(min(longest, len(toks) - i), 0, -1):
+                code = by_tokens.get(tuple(t for t, _, _ in toks[i:i + n]))
+                if code is not None:
+                    tags.append([code, toks[i][1], toks[i + n - 1][2]])
+                    break
+            else:
+                n = 1
+            i += n
+        return tags
+    return tag
+
+
+# Built from the slot vocabularies, not from C.ENTITY_TYPES, so a wrong
+# entry in the generator's map shows as a tag the oracle disagrees with.
+ORACLE = oracle_tagger({
+    **dict.fromkeys(C.MEDICATIONS, "clnd"),
+    **dict.fromkeys(C.CONDITIONS, "fndg"),
+    **dict.fromkeys(C.SYMPTOMS, "sosy"),
+    **dict.fromkeys(C.PROCEDURES_DIAP, "diap"),
+    **dict.fromkeys(C.PROCEDURES_LBPR, "lbpr"),
+    **dict.fromkeys(C.PROCEDURES_TOPP, "topp"),
+    **dict.fromkeys(C.DOSAGES, "qnco"),
+})
 
 
 class TestLfTokenize:
@@ -267,12 +306,52 @@ class TestRecordCheck:
         assert list(read_dataset(path)) == examples
 
 
-class TestGazetteerMembership:
+class TestTagOracle:
+    def test_longest_match(self):
+        tag = oracle_tagger({"chest x ray": "diap", "chest": "bpoc"})
+        assert tag("the chest x ray was clear") == \
+            [["diap", 4, len("the chest x ray")]]
+
+    def test_quantity_tag(self):
+        assert oracle_tagger({"40 mg": "qnco"})("aspirin 40 mg daily") == \
+            [["qnco", 8, 13]]
+
+    def test_no_hits(self):
+        assert oracle_tagger({"aspirin": "clnd"})("nothing to see here") == []
+
+    def test_case_insensitive(self):
+        assert oracle_tagger({"Aspirin": "clnd"})("ASPIRIN was held") == \
+            [["clnd", 0, 7]]
+
+
+class TestEntityTypes:
+    def test_types_are_known(self):
+        assert set(C.ENTITY_TYPES.values()) <= set(SEMANTIC_TYPE_IDS)
+
     def test_all_slot_surfaces_tagged(self):
-        gaz = build_gazetteer()
+        start = len("note mentions ")
         for surface in (C.MEDICATIONS + C.CONDITIONS + C.SYMPTOMS
                         + C.PROCEDURES + C.DOSAGES):
-            start = len("note mentions ")
-            tags = gaz.tag(f"note mentions {surface} today")
-            assert [start, start + len(surface)] in [t[1:] for t in tags], \
-                surface
+            tags = ORACLE(f"note mentions {surface} today")
+            assert tags == [[C.ENTITY_TYPES[surface], start,
+                             start + len(surface)]], surface
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tags_match_oracle(self, seed):
+        # the generator tags the values it places; the oracle finds them
+        # again in the text, in both settings and in every note sentence
+        notes = generate_corpus(seed=seed, num_notes=20)
+        for note in notes:
+            assert note.tags == [ORACLE(s) for s in note.sentences]
+        examples = instantiate_questions(notes, build_templates())
+        by_id = {n.note_id: n for n in notes}
+        rng = np.random.default_rng(seed + 1)
+        paragraphs = [build_paragraph_context(ex, by_id[ex.note_id], rng)
+                      for ex in examples]
+        for ex in examples + paragraphs:
+            assert ex.question_tags == ORACLE(ex.question), ex.id
+            assert ex.context_tags == ORACLE(ex.context_text), ex.id
+        # each record owns its tag lists, as read records do
+        owned = [t for ex in examples + paragraphs
+                 for t in ex.question_tags + ex.context_tags]
+        assert len({id(t) for t in owned}) == len(owned)

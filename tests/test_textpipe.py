@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from entqa import textpipe as tp
-from entqa.textpipe import (EncodingError, Gazetteer, Vocab, encode_pair,
-                            tokenize)
+from entqa.textpipe import EncodingError, Vocab, encode_pair, tokenize
 
 
 class TestTokenize:
@@ -54,27 +53,9 @@ class TestVocab:
         assert v2.id_for("aspirin") == v.id_for("aspirin")
 
 
-class TestGazetteer:
-    def test_longest_match(self):
-        gaz = Gazetteer({"chest x ray": "diap", "chest": "bpoc"})
-        tags = gaz.tag("the chest x ray was clear")
-        assert tags == [["diap", 4, len("the chest x ray")]]
-
-    def test_quantity_tag(self):
-        gaz = Gazetteer({"40 mg": "qnco"})
-        assert gaz.tag("aspirin 40 mg daily") == [["qnco", 8, 13]]
-
-    def test_no_hits(self):
-        gaz = Gazetteer({"aspirin": "clnd"})
-        assert gaz.tag("nothing to see here") == []
-
-    def test_case_insensitive(self):
-        gaz = Gazetteer({"Aspirin": "clnd"})
-        assert gaz.tag("ASPIRIN was held") == [["clnd", 0, 7]]
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="zzzz"):
-            Gazetteer({"thing": "zzzz"})
+# the tags a corpus record stores for CONTEXT
+CONTEXT = "aspirin 40 mg daily"
+CONTEXT_TAGS = [["clnd", 0, 7], ["qnco", 8, 13]]
 
 
 class TestEncodePair:
@@ -82,18 +63,16 @@ class TestEncodePair:
         self.vocab = Vocab.build([
             "dose of aspirin ?", "aspirin 40 mg daily",
         ])
-        self.gaz = Gazetteer({"aspirin": "clnd", "40 mg": "qnco"})
 
     def test_answer_token_span(self):
-        context = "aspirin 40 mg daily"
         pair = encode_pair(
-            "dose of aspirin ?", context, self.vocab, 32,
-            context_tags=self.gaz.tag(context),
+            "dose of aspirin ?", CONTEXT, self.vocab, 32,
+            context_tags=CONTEXT_TAGS,
             answer_char_span=(8, 13))
         s, e = pair.answer_start_tok, pair.answer_end_tok
         assert s > 0 and e >= s
         toks = [pair.token_offsets[i] for i in range(s, e + 1)]
-        assert [context[a:b] for a, b in toks] == ["40", "mg"]
+        assert [CONTEXT[a:b] for a, b in toks] == ["40", "mg"]
 
     def test_no_tags_all_zero(self):
         pair = encode_pair("dose of aspirin ?", "aspirin 40 mg daily",
@@ -109,9 +88,8 @@ class TestEncodePair:
         assert len(pair.token_ids) == 32
 
     def test_entity_alignment_intersects(self):
-        context = "aspirin 40 mg daily"
-        pair = encode_pair("dose ?", context, self.vocab, 32,
-                           context_tags=self.gaz.tag(context))
+        pair = encode_pair("dose ?", CONTEXT, self.vocab, 32,
+                           context_tags=CONTEXT_TAGS)
         ctx_positions = np.flatnonzero(pair.context_mask)
         types = pair.entity_ids[ctx_positions]
         # aspirin -> clnd(id), 40 mg -> qnco over two tokens, daily -> 0

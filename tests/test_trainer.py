@@ -6,7 +6,7 @@ import pytest
 
 from entqa import model as mdl
 from entqa import trainer as tr
-from entqa.corpus import (QAExample, build_gazetteer, build_templates,
+from entqa.corpus import (ENTITY_TYPES, QAExample, build_templates,
                           generate_corpus, instantiate_questions)
 from entqa.metrics import span_em, token_f1
 from entqa.model import ModelConfig
@@ -127,8 +127,8 @@ class TestEncoding:
                 assert e.sentence != evidence_by_q[e.question]
 
     def test_evidence_pairs_carry_stored_tags(self):
-        # tags no gazetteer would give: evidence pairs take the example's
-        # own, shifted into the chosen sentence, as span pairs do
+        # tags the generator would not write: evidence pairs take the
+        # example's own, shifted into the chosen sentence, as span pairs do
         ex = QAExample(
             id="x", note_id=0, question="which word?",
             question_template_id="t", lf_id=0,
@@ -137,9 +137,8 @@ class TestEncoding:
                     "text": "gamma"},
             question_tags=[["sosy", 0, 5]],
             context_tags=[["topp", 6, 10], ["clnd", 18, 23]])
-        gazetteer = build_gazetteer()
-        assert not any(gazetteer.tag(t) for t in
-                       [ex.question] + ex.context_sentences)
+        assert not any(surface in t for surface in ENTITY_TYPES
+                       for t in [ex.question] + ex.context_sentences)
         pos, neg = make_evidence_examples([ex], np.random.default_rng(0))
         assert (pos.label, pos.sentence_tags) == (1, [["clnd", 6, 11]])
         assert (neg.label, neg.sentence_tags) == (0, [["topp", 6, 10]])
