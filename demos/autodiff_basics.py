@@ -6,7 +6,7 @@ import numpy as np
 from entqa.tensor import Tensor, gelu, gradcheck, softmax_cross_entropy
 
 # ---------------------------------------------------------------------------
-# 1. A tiny computation graph: y = mean((x @ w + b)^2)
+# 1. A tiny computation graph: y = sum((x @ w + b)^2) / 8
 # ---------------------------------------------------------------------------
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(4, 3)))
@@ -14,7 +14,7 @@ w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 b = Tensor(np.zeros(2), requires_grad=True)
 
 h = x @ w + b
-y = (h * h).mean()
+y = (h * h).sum() * (1.0 / h.data.size)
 y.backward()
 
 print("loss:", y.item())
@@ -36,10 +36,9 @@ def loss_fn():
     h = x @ w + b
     return (gelu(h) * h).sum()
 
-report = gradcheck(loss_fn, {"w": w, "b": b}, rng=np.random.default_rng(1))
-for name, entry in report.items():
-    if name == "all_passed":
-        continue
-    print(f"{name}: max relative error {entry['max_rel_err']:.2e} "
-          f"({'ok' if entry['passed'] else 'FAIL'})")
-print("all passed:", report["all_passed"])
+TOLERANCE = 1e-4
+errors = gradcheck(loss_fn, {"w": w, "b": b}, rng=np.random.default_rng(1))
+for name, err in errors.items():
+    print(f"{name}: max relative error {err:.2e} "
+          f"({'ok' if err <= TOLERANCE else 'FAIL'})")
+print("all passed:", max(errors.values()) <= TOLERANCE)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .textpipe import SEMANTIC_TYPE_IDS
 
 # ---------------------------------------------------------------------------
@@ -690,7 +691,7 @@ REQUIRED_FIELDS = [f.name for f in fields(QAExample)]
 
 
 def write_dataset(examples, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for ex in examples:
             fh.write(json.dumps(ex.to_json(), sort_keys=True) + "\n")
 

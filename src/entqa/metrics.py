@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .corpus import LOGICAL_FORMS
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
@@ -155,11 +156,11 @@ class EvalReport:
         return asdict(self)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
     def save_confusion_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             n = len(self.confusion)
             fh.write("gold\\pred," + ",".join(str(i) for i in range(n)) + "\n")
             for g, row in enumerate(self.confusion):

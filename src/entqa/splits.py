@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .corpus import DatasetError
 
 
@@ -64,7 +65,7 @@ class SplitAssignment:
         )
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
     @classmethod

@@ -1,9 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Just enough machinery to train a small transformer QA stack on CPU:
-elementwise arithmetic, stacked matmul, softmax, layer norm, GELU,
-embedding lookup, dropout and fused cross-entropy losses. No GPU, no
-broadcasting rules beyond what the model needs.
+Just enough machinery to train a small transformer QA stack on CPU, and
+no op the package does not call: broadcast ``+`` and ``*``, stacked
+matmul, ``reshape``, indexing, ``sum``, ``linear``, ``gelu``,
+``layer_norm``, ``embedding``, ``dropout``, multi-head ``attention`` and
+the fused cross-entropy losses, which ``gradcheck`` audits by finite
+differences. No GPU, no broadcasting rules beyond what the model needs.
 
 Every op computes its forward value and hands ``Tensor._make`` one
 ``(input, vjp)`` edge per tensor input, where ``vjp`` maps the output's
@@ -185,15 +187,6 @@ class Tensor:
         return Tensor._make(self.data.reshape(shape),
                             ((self, lambda g: g.reshape(old)),))
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        return Tensor._make(self.data.swapaxes(a, b),
-                            ((self, lambda g: g.swapaxes(a, b)),))
-
-    def transpose(self, *axes) -> "Tensor":
-        inv = np.argsort(axes)
-        return Tensor._make(self.data.transpose(axes),
-                            ((self, lambda g: g.transpose(inv)),))
-
     def __getitem__(self, idx) -> "Tensor":
         def vjp(g):
             full = np.zeros_like(self.data)
@@ -210,10 +203,6 @@ class Tensor:
 
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims),
                             ((self, vjp),))
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 def _check_matmul(a: np.ndarray, b: np.ndarray):
@@ -259,12 +248,6 @@ def _softmax(xd: np.ndarray, axis: int) -> np.ndarray:
 
 def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return y * (g - (g * y).sum(axis=axis, keepdims=True))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along `axis`."""
-    y = _softmax(x.data, axis)
-    return Tensor._make(y, ((x, lambda g: _softmax_vjp(y, g, axis)),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -416,31 +399,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 # -- gradient checking --------------------------------------------------------
 
 def gradcheck(loss_fn, params: dict, rng: np.random.Generator, h: float = 1e-5,
-              tolerance: float = 1e-4, max_elements: int = 25) -> dict:
+              max_elements: int = 25) -> dict:
     """Compare analytic gradients against central finite differences.
 
     `loss_fn()` must rebuild the scalar loss from the live `params`
-    tensors on every call (deterministic: no dropout). Returns a report
-    {name: {"max_rel_err": float, "passed": bool}} plus an "all_passed"
-    key. Large parameters are probed at `max_elements` entries drawn from
-    `rng`.
+    tensors on every call (deterministic: no dropout). Returns
+    {name: max relative error}; the caller holds the tolerance. Large
+    parameters are probed at `max_elements` entries drawn from `rng`.
     """
     for p in params.values():
         p.grad = None
-    loss = loss_fn()
-    loss.backward()
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params.items()}
-
+    loss_fn().backward()
     report = {}
-    all_passed = True
     for name, p in params.items():
         flat = p.data.reshape(-1)
+        analytic = np.zeros_like(flat) if p.grad is None else p.grad.reshape(-1)
         n = flat.size
-        if n > max_elements:
-            idxs = rng.choice(n, size=max_elements, replace=False)
-        else:
-            idxs = np.arange(n)
+        idxs = (rng.choice(n, size=max_elements, replace=False)
+                if n > max_elements else np.arange(n))
         max_rel = 0.0
         for i in idxs:
             orig = flat[i]
@@ -450,11 +426,7 @@ def gradcheck(loss_fn, params: dict, rng: np.random.Generator, h: float = 1e-5,
             down = loss_fn().item()
             flat[i] = orig
             num = (up - down) / (2 * h)
-            ana = analytic[name].reshape(-1)[i]
-            denom = max(abs(num), abs(ana), 1e-8)
-            max_rel = max(max_rel, abs(num - ana) / denom)
-        passed = max_rel <= tolerance
-        all_passed = all_passed and passed
-        report[name] = {"max_rel_err": max_rel, "passed": passed}
-    report["all_passed"] = all_passed
+            denom = max(abs(num), abs(analytic[i]), 1e-8)
+            max_rel = max(max_rel, abs(num - analytic[i]) / denom)
+        report[name] = max_rel
     return report

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
+
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 RESERVED = [PAD, UNK, CLS, SEP]
 
@@ -59,7 +61,7 @@ class Vocab:
                            for tok, _, _ in tokenize(text)}))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             for i in range(len(RESERVED), len(self._token_to_id)):
                 fh.write(self._id_to_token[i] + "\n")
 
@@ -79,9 +81,11 @@ class EncodedPair:
     attention_mask: np.ndarray    # bool
     entity_ids: np.ndarray        # 0 = no entity
     context_mask: np.ndarray      # True only on real context tokens
-    token_offsets: list           # (start, end) into context text, or None
+    token_offsets: np.ndarray     # [max_seq_len, 2] span in the context, -1 off it
     answer_start_tok: int = -1
     answer_end_tok: int = -1
+    lf_id: int | None = None      # gold logical form
+    label: int | None = None      # evidence label; None on span pairs
     meta: dict = field(default_factory=dict)
 
 
@@ -114,45 +118,34 @@ def encode_pair(question: str, context: str, vocab: Vocab, max_seq_len: int,
     if len(q_toks) + overhead > max_seq_len:
         raise EncodingError(
             f"question of {len(q_toks)} tokens exceeds max_seq_len={max_seq_len}")
-    ctx_budget = max_seq_len - len(q_toks) - overhead
-    c_kept = c_toks[:ctx_budget]
-
-    q_ent = _entity_ids_for(q_toks, question_tags or [])
-    c_ent = _entity_ids_for(c_kept, context_tags or [])
+    c_kept = c_toks[:max_seq_len - len(q_toks) - overhead]
+    ctx = slice(len(q_toks) + 2, len(q_toks) + 2 + len(c_kept))
+    n = ctx.stop + 1   # [CLS] q [SEP] c [SEP]
 
     token_ids = np.zeros(max_seq_len, dtype=np.int64)
+    token_ids[:n] = [vocab.id_for(t) for t in [CLS] + [t for t, _, _ in q_toks]
+                     + [SEP] + [t for t, _, _ in c_kept] + [SEP]]
     segment_ids = np.zeros(max_seq_len, dtype=np.int64)
+    segment_ids[ctx.start:n] = 1
     attention_mask = np.zeros(max_seq_len, dtype=bool)
+    attention_mask[:n] = True
     entity_ids = np.zeros(max_seq_len, dtype=np.int64)
+    entity_ids[1:ctx.start - 1] = _entity_ids_for(q_toks, question_tags or [])
+    entity_ids[ctx] = _entity_ids_for(c_kept, context_tags or [])
     context_mask = np.zeros(max_seq_len, dtype=bool)
-    token_offsets: list = [None] * max_seq_len
-
-    seq = [(CLS, 0, 0, None)]
-    seq += [(t, 0, q_ent[i], None) for i, (t, _, _) in enumerate(q_toks)]
-    seq += [(SEP, 0, 0, None)]
-    seq += [(t, 1, c_ent[i], (s, e)) for i, (t, s, e) in enumerate(c_kept)]
-    seq += [(SEP, 1, 0, None)]
-
-    ctx_start = len(q_toks) + 2
-    for pos, (tok, seg, ent, off) in enumerate(seq):
-        token_ids[pos] = vocab.id_for(tok)
-        segment_ids[pos] = seg
-        attention_mask[pos] = True
-        entity_ids[pos] = ent
-        token_offsets[pos] = off
-        if off is not None:
-            context_mask[pos] = True
+    context_mask[ctx] = True
+    token_offsets = np.full((max_seq_len, 2), -1, dtype=np.int64)
+    token_offsets[ctx, 0] = [s for _, s, _ in c_kept]
+    token_offsets[ctx, 1] = [e for _, _, e in c_kept]
 
     ans_start = ans_end = -1
     if answer_char_span is not None:
         a0, a1 = answer_char_span
         if not (0 <= a0 < a1 <= len(context)):
             raise EncodingError(f"answer span ({a0}, {a1}) outside context")
-        hit = [i for i, (_, s, e) in enumerate(c_kept) if s < a1 and e > a0]
-        full_hit = [i for i, (_, s, e) in enumerate(c_toks) if s < a1 and e > a0]
-        if hit and len(hit) == len(full_hit):  # else lost to truncation
-            ans_start = ctx_start + hit[0]
-            ans_end = ctx_start + hit[-1]
+        hit = [i for i, (_, s, e) in enumerate(c_toks) if s < a1 and e > a0]
+        if hit and hit[-1] < len(c_kept):  # else lost to truncation
+            ans_start, ans_end = ctx.start + hit[0], ctx.start + hit[-1]
 
     return EncodedPair(
         token_ids=token_ids, segment_ids=segment_ids,

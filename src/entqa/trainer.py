@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metrics as M
 from . import model as mdl
+from .checkpoint import atomic_write
 from .corpus import LOGICAL_FORMS, QAExample
 from .model import Batch, ModelConfig
 from .optim import AdamState, adam_step
@@ -86,8 +88,9 @@ def encode_examples(examples: list[QAExample], vocab: Vocab,
             ex.question, ex.context_text, vocab, max_seq_len,
             question_tags=ex.question_tags, context_tags=ex.context_tags,
             answer_char_span=ex.answer_char_span_in_context())
+        pair.lf_id = ex.lf_id
         pair.meta = {"id": ex.id, "context": ex.context_text,
-                     "gold": ex.answer["text"], "lf_id": ex.lf_id}
+                     "gold": ex.answer["text"]}
         if pair.answer_start_tok < 0:
             continue
         pairs.append(pair)
@@ -124,24 +127,16 @@ def make_evidence_examples(examples: list[QAExample],
 
 def encode_evidence_examples(examples: list[EvidenceExample], vocab: Vocab,
                              max_seq_len: int):
-    pairs, labels, lf_ids = [], [], []
+    """(pairs, their labels, their LF ids); each pair carries its own."""
+    pairs = []
     for ex in examples:
         pair = encode_pair(
             ex.question, ex.sentence, vocab, max_seq_len,
             question_tags=ex.question_tags, context_tags=ex.sentence_tags)
-        pair.meta = {"lf_id": ex.lf_id, "label": ex.label}
+        pair.lf_id, pair.label = ex.lf_id, ex.label
         pairs.append(pair)
-        labels.append(ex.label)
-        lf_ids.append(ex.lf_id)
-    return pairs, np.array(labels), np.array(lf_ids)
-
-
-def _pack(pairs) -> Batch:
-    """All pairs as one full-width batch carrying their gold logical-form
-    ids and, when every pair has one, their evidence labels."""
-    labels = [p.meta.get("label") for p in pairs]
-    return mdl.make_batch(pairs, lf_ids=[p.meta["lf_id"] for p in pairs],
-                          evidence_labels=None if None in labels else labels)
+    return (pairs, np.array([p.label for p in pairs]),
+            np.array([p.lf_id for p in pairs]))
 
 
 def _slice_batch(packed: Batch, idxs) -> Batch:
@@ -182,7 +177,7 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
     if not train_pairs or not val_pairs:
         raise TrainError("train and validation sets must be non-empty")
     config = apply_system(model_config, train_config.system)
-    packed = _pack(train_pairs)
+    packed = mdl.make_batch(train_pairs)
     if config.mode == "evidence":
         labels = set(packed.evidence_labels.tolist())
         if len(labels) < 2:
@@ -285,7 +280,7 @@ def evaluate_pairs(params, config: ModelConfig, pairs,
     params = {k: Tensor(p.data) for k, p in params.items()}
     if include_lf is None:
         include_lf = config.omega > 0
-    packed = _pack(pairs)
+    packed = mdl.make_batch(pairs)
     lf_golds = packed.lf_ids.tolist()
     lf_preds, ev_preds, texts = [], [], []
     for b0 in range(0, len(pairs), EVAL_BATCH_SIZE):
@@ -302,7 +297,7 @@ def evaluate_pairs(params, config: ModelConfig, pairs,
             config.max_answer_len)
         for i, s, e in zip(rows, starts.tolist(), ends.tolist()):
             offs = pairs[i].token_offsets
-            texts.append(pairs[i].meta["context"][offs[s][0]:offs[e][1]])
+            texts.append(pairs[i].meta["context"][offs[s, 0]:offs[e, 1]])
     report = M.EvalReport(n_examples=len(pairs))
     if config.mode == "span":
         golds = [p.meta["gold"] for p in pairs]
@@ -369,19 +364,24 @@ def run_matrix(splits_by_mode: dict, vocab: Vocab, model_config: ModelConfig,
             f1s.append(report.token_f1 * 100)
             ems.append(report.em * 100)
         cells[(system, split_mode)] = {"f1": f1s, "em": ems}
-    table = format_matrix(cells)
     if out_dir is not None:
-        import os
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "matrix.csv"), "w") as fh:
-            fh.write("system,split,f1_mean,f1_sd,em_mean,em_sd\n")
-            for (system, mode), cell in cells.items():
-                fh.write(f"{system},{mode},{np.mean(cell['f1']):.2f},"
-                         f"{np.std(cell['f1']):.2f},{np.mean(cell['em']):.2f},"
-                         f"{np.std(cell['em']):.2f}\n")
-        with open(os.path.join(out_dir, "matrix.txt"), "w") as fh:
-            fh.write(table)
-    return {"cells": cells, "table": table}
+        save_matrix(cells, out_dir)
+    return {"cells": cells, "table": format_matrix(cells)}
+
+
+def save_matrix(cells: dict, out_dir):
+    """Write `matrix.csv` and `matrix.txt` (format_matrix) to `out_dir`."""
+    os.makedirs(out_dir, exist_ok=True)
+    with atomic_write(os.path.join(out_dir, "matrix.csv"),
+                      encoding="utf-8") as fh:
+        fh.write("system,split,f1_mean,f1_sd,em_mean,em_sd\n")
+        for (system, mode), cell in cells.items():
+            fh.write(f"{system},{mode},{np.mean(cell['f1']):.2f},"
+                     f"{np.std(cell['f1']):.2f},{np.mean(cell['em']):.2f},"
+                     f"{np.std(cell['em']):.2f}\n")
+    with atomic_write(os.path.join(out_dir, "matrix.txt"),
+                      encoding="utf-8") as fh:
+        fh.write(format_matrix(cells))
 
 
 def format_matrix(cells: dict) -> str:

@@ -71,3 +71,32 @@ def test_eval_paragraph_smoke_run():
     result = _smoke_run("eval-paragraph")
     assert result["correct"] is True
     assert (result["failed"], result["attempted"]) == (8, 90)
+
+
+def test_bench_files_name_workloads_and_metrics():
+    # BENCH_<short-sha>.json: every run.py result of one comparison against
+    # commit <short-sha>; a traced run reports per-layer metrics and keeps
+    # its end-to-end values beside them
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    end_to_end = {m["name"] for m in spec["end_to_end"]}
+    per_layer = {m["name"] for m in spec["per_layer"]}
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        bench = json.loads(path.read_text())
+        assert path.name == f"BENCH_{bench['parent']}.json"
+        assert bench["runs"], path.name
+        for run in bench["runs"]:
+            where = f"{path.name}: {run.get('workload')} {run.get('side')} " \
+                    f"seed {run.get('seed')}"
+            assert run["workload"] in workloads, where
+            assert run["side"] in ("parent", "change"), where
+            assert isinstance(run["seed"], int), where
+            metrics = run["result"]["metrics"]
+            if run["trace"]:
+                assert set(metrics) == per_layer, where
+                assert set(run["traced_end_to_end"]) == end_to_end, where
+            else:
+                assert set(metrics) == end_to_end, where
+            assert isinstance(run["result"]["correct"], bool), where

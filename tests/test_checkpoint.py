@@ -1,11 +1,20 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from entqa import cli
+from entqa import trainer as tr
 from entqa.checkpoint import (CheckpointError, load_checkpoint, restore_params,
                               save_checkpoint)
 from entqa.cli import write_manifest
+from entqa.corpus import (build_templates, generate_corpus,
+                          instantiate_questions, write_dataset)
+from entqa.metrics import EvalReport
 from entqa.model import ModelConfig
+from entqa.splits import make_assignment
 from entqa.tensor import Tensor
+from entqa.textpipe import Vocab
 
 
 @pytest.fixture
@@ -115,13 +124,102 @@ def _checkpoint_writes(tmp_path, ok):
     return tmp_path / "model.ckpt"
 
 
-@pytest.mark.parametrize("write", [_checkpoint_writes, _manifest_writes,
-                                   _config_writes],
-                         ids=["checkpoint", "manifest", "model_config"])
+def _vocab_writes(tmp_path, ok):
+    # a non-string token fails after "aspirin" is written
+    Vocab(["aspirin", "dose" if ok else 5]).save(tmp_path / "vocab.txt")
+    return tmp_path / "vocab.txt"
+
+
+def _dataset_writes(tmp_path, ok):
+    records = [SimpleNamespace(to_json=lambda: {"id": "q1"}),
+               SimpleNamespace(to_json=lambda: {"id": "q2" if ok else object()})]
+    write_dataset(records, tmp_path / "corpus.jsonl")
+    return tmp_path / "corpus.jsonl"
+
+
+def _split_writes(tmp_path, ok):
+    notes = [SimpleNamespace(note_id=i) for i in range(6)]
+    assignment = make_assignment(notes, build_templates(), "pl", seed=0)
+    if not ok:
+        assignment.seed = object()     # "mode" is written before it
+    assignment.save(tmp_path / "split.json")
+    return tmp_path / "split.json"
+
+
+def _id_list_writes(tmp_path, ok):
+    corpus = tmp_path / "corpus.jsonl"
+    if not corpus.exists():
+        write_dataset(instantiate_questions(generate_corpus(seed=0, num_notes=4),
+                                            build_templates()), corpus)
+    argv = ["split", "--mode", "pl", "--data", str(corpus), "--out",
+            str(tmp_path)]
+    with pytest.MonkeyPatch.context() as mp:
+        if not ok:
+            # a second training record without an id fails the list part-way
+            def with_bad_record(examples, assignment):
+                train, val, test = filter_examples(examples, assignment)
+                bad = SimpleNamespace(id=None, note_id=train[0].note_id,
+                                      question_template_id=train[0]
+                                      .question_template_id)
+                return train[:1] + [bad] + train[1:], val, test
+            filter_examples = cli.filter_examples
+            mp.setattr(cli, "filter_examples", with_bad_record)
+        assert cli.main(argv + ["--seed", "0"]) == 0
+    return tmp_path / "train_ids.txt"
+
+
+def _report(ok):
+    return EvalReport(n_examples=2, em=0.5, token_f1=0.5,
+                      per_lf={0: {"em": 0.5, "f1": 0.5, "n": 2}} if ok
+                      else {0: object()},
+                      confusion=[[1, 0], [0, 1] if ok else object()])
+
+
+def _report_writes(tmp_path, ok):
+    # keys are sorted, so "confusion" and "em" are written before "per_lf"
+    _report(ok).save(tmp_path / "report.json")
+    return tmp_path / "report.json"
+
+
+def _confusion_writes(tmp_path, ok):
+    _report(ok).save_confusion_csv(tmp_path / "confusion.csv")
+    return tmp_path / "confusion.csv"
+
+
+_CELLS = {("baseline", "pl"): {"f1": [50.0, 52.0], "em": [40.0, 42.0]},
+          ("fused", "pl"): {"f1": [60.0, 58.0], "em": [48.0, 50.0]}}
+
+
+def _matrix_csv_writes(tmp_path, ok):
+    # the second row fails after the header and the first row
+    cells = dict(_CELLS)
+    if not ok:
+        cells[("fused", "pl")] = {"f1": [object()], "em": [0.0]}
+    tr.save_matrix(cells, tmp_path)
+    return tmp_path / "matrix.csv"
+
+
+def _matrix_txt_writes(tmp_path, ok):
+    with pytest.MonkeyPatch.context() as mp:
+        if not ok:
+            def fail(cells):
+                raise OSError("device full")
+            mp.setattr(tr, "format_matrix", fail)
+        tr.save_matrix(_CELLS, tmp_path)
+    return tmp_path / "matrix.txt"
+
+
+@pytest.mark.parametrize("write", [
+    _checkpoint_writes, _manifest_writes, _config_writes, _vocab_writes,
+    _dataset_writes, _split_writes, _id_list_writes, _report_writes,
+    _confusion_writes, _matrix_csv_writes, _matrix_txt_writes,
+], ids=["checkpoint", "manifest", "model_config", "vocab", "dataset", "split",
+        "id_list", "report", "confusion", "matrix_csv", "matrix_txt"])
 def test_failed_write_leaves_previous_file_intact(tmp_path, write):
     path = write(tmp_path, ok=True)
     before = path.read_bytes()
+    listing = sorted(p.name for p in tmp_path.iterdir())
     with pytest.raises((OSError, TypeError)):
         write(tmp_path, ok=False)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing

@@ -1,9 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
+from entqa import model as mdl
+from entqa import trainer as tr
+from entqa.checkpoint import save_checkpoint
 from entqa.cli import main
 from entqa.corpus import read_dataset
+from entqa.model import ModelConfig
+from entqa.textpipe import Vocab
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +274,53 @@ class TestTrainEval:
                      "--out", str(tmp_path / "evidence")])
         assert code == 2
         assert "one-sentence contexts" in capsys.readouterr().err
+
+    def test_evidence_val_pairs_match_between_train_and_eval(
+            self, tmp_path, monkeypatch):
+        # eval --subset val must score the validation pairs that chose the
+        # checkpoint, negatives included
+        data, split, run = tmp_path / "data", tmp_path / "pl", tmp_path / "run"
+        assert main(["gen-data", "--seed", "0", "--num-notes", "4",
+                     "--setting", "paragraph", "--out", str(data)]) == 0
+        assert main(["split", "--mode", "pl", "--seed", "0",
+                     "--data", str(data / "corpus.jsonl"),
+                     "--out", str(split)]) == 0
+        common = ["--data", str(data / "corpus.jsonl"),
+                  "--vocab", str(data / "vocab.txt"),
+                  "--split", str(split / "split.json")]
+        captured = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(key, index):
+            def record(*args, **kwargs):
+                captured[key] = args[index]
+                raise Captured
+            return record
+
+        monkeypatch.setattr(tr, "train", capture("train", 1))
+        with pytest.raises(Captured):
+            main(["train", *common, "--system", "evidence", "--seed", "7",
+                  "--out", str(run)])
+        # an untrained run directory eval can load
+        config = tr.apply_system(
+            ModelConfig(vocab_size=len(Vocab.load(data / "vocab.txt")),
+                        hidden_dim=16, layers=1, heads=2, entity_dim=8,
+                        entity_heads=2, ffn_mult=2), "evidence")
+        config.save(run / "model_config.json")
+        save_checkpoint(run / "model.ckpt", mdl.init_params(config, 0),
+                        config.digest())
+        monkeypatch.setattr(tr, "evaluate_pairs", capture("eval", 2))
+        with pytest.raises(Captured):
+            main(["eval", "--run", str(run), *common, "--subset", "val",
+                  "--seed", "7"])
+        trained, scored = captured["train"], captured["eval"]
+        assert len(trained) == len(scored) > 0
+        assert {p.label for p in trained} == {0, 1}
+        for a, b in zip(trained, scored):
+            np.testing.assert_array_equal(a.token_ids, b.token_ids)
+            assert (a.label, a.lf_id) == (b.label, b.lf_id)
 
     def test_checkpoint_of_other_system_exits_3(self, workspace, tmp_path,
                                                 capsys):

@@ -103,9 +103,12 @@ class TestEncoding:
         examples, vocab = tiny_dataset()
         pairs = encode_examples(examples, vocab, 48)
         assert pairs
+        by_id = {ex.id: ex for ex in examples}
         for pair in pairs:
+            assert set(pair.meta) == {"id", "context", "gold"}
             assert pair.meta["gold"]
-            assert 0 <= pair.meta["lf_id"] < 9
+            assert pair.lf_id == by_id[pair.meta["id"]].lf_id
+            assert 0 <= pair.lf_id < 9 and pair.label is None
             assert pair.answer_start_tok >= 0
 
     def test_unanswerable_dropped(self):
@@ -157,6 +160,9 @@ class TestEncoding:
         pairs, labels, lf_ids = encode_evidence_examples(evs, vocab, 48)
         assert len(pairs) == len(labels) == len(lf_ids) == len(evs)
         assert set(labels) == {0, 1}
+        assert [(p.label, p.lf_id) for p in pairs] == \
+            [(e.label, e.lf_id) for e in evs]
+        assert all(p.meta == {} for p in pairs)
 
 
 class TestTrainLoop:
@@ -248,16 +254,16 @@ class TestTrimmedBatches:
     @pytest.mark.parametrize("kind", ["span", "evidence"])
     def test_slice_is_full_width_batch_cut_to_longest_row(self, kind):
         pairs, _ = self._pairs() if kind == "span" else self._evidence_pairs()
-        packed = tr._pack(pairs)
+        packed = mdl.make_batch(pairs)
         rng = np.random.default_rng(0)
         widths = set()
         for size in (1, 3, 8, len(pairs)):
             idxs = rng.choice(len(pairs), size=size, replace=False)
             chosen = [pairs[i] for i in idxs]
-            full = mdl.make_batch(
-                chosen, lf_ids=[p.meta["lf_id"] for p in chosen],
-                evidence_labels=([p.meta["label"] for p in chosen]
-                                 if kind == "evidence" else None))
+            full = mdl.make_batch(chosen)
+            np.testing.assert_array_equal(full.lf_ids,
+                                          [p.lf_id for p in chosen])
+            assert (full.evidence_labels is None) == (kind == "span")
             batch = tr._slice_batch(packed, idxs)
             width = int(full.attention_mask.sum(axis=1).max())
             widths.add(width)
@@ -281,8 +287,8 @@ class TestTrimmedBatches:
         config = apply_system(tiny_model(vocab, dropout=0.1), system)
         params = mdl.init_params(config, 0)
         idxs = np.arange(8)
-        batch = tr._slice_batch(tr._pack(pairs), idxs)
-        full = _untrimmed(tr._pack(pairs), idxs)
+        batch = tr._slice_batch(mdl.make_batch(pairs), idxs)
+        full = _untrimmed(mdl.make_batch(pairs), idxs)
         w = batch.token_ids.shape[1]
         assert w < full.token_ids.shape[1]
         out = mdl.forward(params, config, batch, train=train_mode,
@@ -307,7 +313,7 @@ class TestTrimmedBatches:
         pairs, vocab = self._pairs()
         config = apply_system(tiny_model(vocab), "multitask")
         params = mdl.init_params(config, 0)
-        batch = _untrimmed(tr._pack(pairs), np.arange(8))
+        batch = _untrimmed(mdl.make_batch(pairs), np.arange(8))
         rng = np.random.default_rng(4)
         pad = ~batch.attention_mask
         noisy = replace(
@@ -429,12 +435,12 @@ class TestEvaluatePairs:
                             and s[i] + e[j] > best_score:
                         best, best_score = (i, j), s[i] + e[j]
             offs = pair.token_offsets
-            pred = pair.meta["context"][offs[best[0]][0]:offs[best[1]][1]]
+            pred = pair.meta["context"][offs[best[0], 0]:offs[best[1], 1]]
             em = span_em(pred, pair.meta["gold"])
             f1 = token_f1(pred, pair.meta["gold"])
             ems.append(em)
             f1s.append(f1)
-            slot = per_lf.setdefault(pair.meta["lf_id"],
+            slot = per_lf.setdefault(pair.lf_id,
                                      {"em": 0.0, "f1": 0.0, "n": 0})
             slot["em"] += em
             slot["f1"] += f1
