@@ -253,6 +253,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _run_seed(run_dir: Path) -> int:
+    """The training seed `train` wrote to the run's manifest."""
+    path = run_dir / "manifest.json"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read the run's seed from {path}: {exc}",
+                       EXIT_INTEGRITY)
+    seed = manifest.get("seed") if isinstance(manifest, dict) else None
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise CliError(f"{path}: field 'seed' must be an integer, got "
+                       f"{seed!r}; pass --seed", EXIT_INTEGRITY)
+    return seed
+
+
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     config = ModelConfig.load(run_dir / "model_config.json")
@@ -265,9 +281,14 @@ def cmd_eval(args) -> int:
     restore_params(params, arrays)
     examples = _load_examples(args.data)
     vocab = Vocab.load(args.vocab)
+    if len(vocab) != config.vocab_size:
+        raise CliError(
+            f"vocabulary {args.vocab} holds {len(vocab)} tokens, but the "
+            f"checkpoint was trained on {config.vocab_size}", EXIT_INTEGRITY)
+    seed = _run_seed(run_dir) if args.seed is None else args.seed
     parts = dict(zip(SPLITS, _resolve_split(args, examples)))
     pairs = _encode(parts[args.subset], args.subset, config.mode, vocab,
-                    config.max_seq_len, args.seed)
+                    config.max_seq_len, seed)
     report = tr.evaluate_pairs(params, config, pairs)
     if args.out:
         out = Path(args.out)
@@ -276,8 +297,7 @@ def cmd_eval(args) -> int:
         if report.confusion:
             report.save_confusion_csv(out / "confusion.csv")
         write_manifest(out, "eval", args.argv,
-                       {"run": str(run_dir), "subset": args.subset},
-                       args.seed)
+                       {"run": str(run_dir), "subset": args.subset}, seed)
     print(json.dumps(report.to_json(), sort_keys=True))
     return EXIT_OK
 
@@ -404,9 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--subset", choices=SPLITS, default="test")
-    p.add_argument("--seed", type=int, default=0,
-                   help="the run's training seed: evidence negatives are "
-                        "drawn per (seed, subset) as training drew them")
+    p.add_argument("--seed", type=int,
+                   help="the run's training seed (default: the seed in the "
+                        "run's manifest.json): evidence negatives are drawn "
+                        "per (seed, subset) as training drew them")
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=cmd_eval)

@@ -23,6 +23,19 @@ it drops its gradient and edges and stops requiring a gradient, so a
 result can be backpropagated once (a second ``backward`` raises
 ``GradientError``), and only parameter (leaf) gradients remain
 afterwards.
+
+Buffers. An op owns the arrays it allocates: its result and what its
+node keeps for backward. The elementwise kernels (``gelu``,
+``layer_norm``, ``dropout``, attention's scale, mask bias and softmax,
+``linear``'s bias) allocate each result once and fill it in place with
+``out=`` ufuncs, in blocks of rows (``_row_blocks``) so that a block's
+operands stay in cache between passes; a vjp allocates the gradient it
+returns the same way. Each keeps the plain expression's operations in
+their order, so the bits equal those of the whole-array expression
+(tests/tensor_reference.py holds those expressions). A vjp never writes
+into the gradient ``g`` it is handed, nor into anything its node keeps:
+``g`` may be shared with another node (``a + b`` hands both inputs the
+same array, which each may adopt as its gradient).
 """
 
 from __future__ import annotations
@@ -216,56 +229,116 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node; the product is not kept for backward."""
     xd, wd = x.data, w.data
     _check_matmul(xd, wd)
-    return Tensor._make(np.matmul(xd, wd) + b.data,
+    out = np.matmul(xd, wd)
+    out += b.data
+    return Tensor._make(out,
                         ((x, lambda g: np.matmul(g, wd.swapaxes(-1, -2))),
                          (w, lambda g: np.matmul(xd.swapaxes(-1, -2), g)),
                          (b, lambda g: g)))
 
 
-# -- nonlinearities ----------------------------------------------------------
+# -- elementwise kernels ------------------------------------------------------
+
+# Bytes of one operand per block: a kernel's three or four operands of one
+# block stay in a 4 MiB L2 between its passes.
+_BLOCK_BYTES = 1 << 19
+
+
+def _row_blocks(a: np.ndarray) -> list:
+    """Slices that cover `a`'s leading axis in blocks of about _BLOCK_BYTES;
+    one empty slice when the axis is empty."""
+    n = len(a)
+    step = max(1, _BLOCK_BYTES // max(1, a[0:1].nbytes))
+    return [slice(i, min(i + step, n)) for i in range(0, max(n, 1), step)]
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """`a` as [rows, last axis]: a view of an owned buffer, or a copy of a
+    non-contiguous input."""
+    return a.reshape(-1, a.shape[-1])
+
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU; keeps x and its normal cdf for backward."""
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    cdf, out = np.empty(xd.shape), np.empty(xd.shape)
+    X, C, O = _rows(xd), _rows(cdf), _rows(out)
+    blocks = _row_blocks(X)
+    for rows in blocks:
+        xb, c = X[rows], C[rows]
+        # cdf = 0.5 * (1 + erf(x / sqrt 2)); out = x * cdf
+        np.multiply(xb, _INV_SQRT2, out=c)
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(xb, c, out=O[rows])
 
     def vjp(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return g * (cdf + xd * pdf)
+        gx = np.empty(xd.shape)
+        G, GX = _rows(g), _rows(gx)
+        for rows in blocks:
+            xb, o = X[rows], GX[rows]
+            # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi))
+            np.multiply(xb, -0.5, out=o)
+            o *= xb
+            np.exp(o, out=o)
+            o *= _INV_SQRT2PI
+            o *= xb
+            o += C[rows]
+            o *= G[rows]
+        return gx
 
-    return Tensor._make(xd * cdf, ((x, vjp),))
-
-
-def _softmax(xd: np.ndarray, axis: int) -> np.ndarray:
-    z = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+    return Tensor._make(out, ((x, vjp),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Keeps the normalized input and the inverse deviation per row for
+    backward; the variance is the mean square of the centered rows, as
+    ``np.var`` computes it.
+    """
+    xd, gd = x.data, gain.data
+    xhat, out = np.empty(xd.shape), np.empty(xd.shape)
+    inv = np.empty(xd.shape[:-1] + (1,))
+    X, XH, O, INV = _rows(xd), _rows(xhat), _rows(out), _rows(inv)
+    blocks = _row_blocks(X)
+    for rows in blocks:
+        c, o, iv = XH[rows], O[rows], INV[rows]
+        np.subtract(X[rows], X[rows].mean(axis=-1, keepdims=True), out=c)
+        np.multiply(c, c, out=o)
+        var = o.mean(axis=-1, keepdims=True)
+        var += eps
+        np.sqrt(var, out=var)
+        np.divide(1.0, var, out=iv)
+        c *= iv
+        np.multiply(c, gd, out=o)
+        o += bias.data
 
     def vjp_x(g):
-        gy = g * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        return inv * (gy - m1 - xhat * m2)
+        gx = np.empty(xd.shape)
+        G, GX = _rows(g), _rows(gx)
+        scratch = np.empty_like(GX[blocks[0]])
+        for rows in blocks:
+            gy, xh = GX[rows], XH[rows]
+            t = scratch[:len(gy)]
+            # inv * (gy - mean(gy) - xhat * mean(gy * xhat)), gy = g * gain
+            np.multiply(G[rows], gd, out=gy)
+            m1 = gy.mean(axis=-1, keepdims=True)
+            np.multiply(gy, xh, out=t)
+            m2 = t.mean(axis=-1, keepdims=True)
+            gy -= m1
+            np.multiply(xh, m2, out=t)
+            gy -= t
+            gy *= INV[rows]
+        return gx
 
-    return Tensor._make(xhat * gain.data + bias.data,
-                        ((x, vjp_x), (gain, lambda g: g * xhat), (bias, lambda g: g)))
+    return Tensor._make(out, ((x, vjp_x), (gain, lambda g: g * xhat),
+                              (bias, lambda g: g)))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -297,8 +370,18 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
         return x
     draw = rng.random(draw_shape or x.data.shape)
     keep = draw[tuple(slice(n) for n in x.data.shape)] >= p
-    return Tensor._make(x.data * (keep / (1.0 - p)),
-                        ((x, lambda g: g * (keep / (1.0 - p))),))
+    scale = 1.0 / (1.0 - p)
+    K = _rows(keep)
+
+    def masked(a):   # a * keep * scale, which is a * (keep / (1 - p))
+        out = np.empty(a.shape)
+        A, O = _rows(a), _rows(out)
+        for rows in _row_blocks(O):
+            np.multiply(A[rows], K[rows], out=O[rows])
+            O[rows] *= scale
+        return out
+
+    return Tensor._make(masked(x.data), ((x, masked),))
 
 
 # -- fused losses ------------------------------------------------------------
@@ -371,21 +454,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     qd, kt, vd = split(q.data), split(k.data).swapaxes(-1, -2), split(v.data)
     scale = 1.0 / math.sqrt(dh)
-    scores = np.matmul(qd, kt) * scale
     if mask is not None:
         # bias applies along the key axis, for every head and query
         bias = np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG)
-        scores = scores + bias[:, None, None, :]
-    y = _softmax(scores, -1)
+    # y = softmax(q k^T * scale + bias) over keys, in the scores' buffer
+    y = np.matmul(qd, kt)
+    blocks = _row_blocks(y)
+    for rows in blocks:
+        yb = y[rows]
+        yb *= scale
+        if mask is not None:
+            yb += bias[rows, None, None, :]
+        yb -= yb.max(axis=-1, keepdims=True)
+        np.exp(yb, out=yb)
+        yb /= yb.sum(axis=-1, keepdims=True)
     memo = []   # (g, g split into heads, d(loss)/d(scaled scores))
 
     def head_grads(g):
         # Tensor.backward calls a node's vjps once each, all with the same g
         if not memo:
             gh = np.ascontiguousarray(split(g))
+            # y * (gy - sum(gy * y)) * scale, in gy's buffer
             gy = np.matmul(gh, vd.swapaxes(-1, -2))
-            memo.append((g, gh, _softmax_vjp(y, gy, -1) * scale))
-        assert memo[0][0] is g, "attention vjps called with different gradients"
+            scratch = np.empty_like(gy[blocks[0]])
+            for rows in blocks:
+                gb, yb = gy[rows], y[rows]
+                t = scratch[:len(gb)]
+                np.multiply(gb, yb, out=t)
+                gb -= t.sum(axis=-1, keepdims=True)
+                gb *= yb
+                gb *= scale
+            memo.append((g, gh, gy))
+        if memo[0][0] is not g:
+            raise GradientError("attention vjps called with different gradients")
         return memo[0][1:]
 
     return Tensor._make(

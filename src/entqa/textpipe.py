@@ -58,7 +58,7 @@ class Vocab:
     def build(cls, texts) -> "Vocab":
         """Every token of `texts`, in sorted order."""
         return cls(sorted({tok for text in texts
-                           for tok, _, _ in tokenize(text)}))
+                           for tok in _TOKEN_RE.findall(text.lower())}))
 
     def save(self, path):
         with atomic_write(path, encoding="utf-8") as fh:

@@ -1,21 +1,37 @@
-"""Unfused tensor ops that only the tests use.
+"""Tensor ops that only the tests use.
 
-The package's graph needs none of these: attention does its own head
-split, merge and softmax inside one node. The tests build unfused
-references from them (see tests/test_model.py) and check their
-gradients alongside the package's ops (tests/test_tensor.py).
+The package's graph needs none of these. The unfused ops (softmax,
+swapaxes, transpose, mean) build references for the fused attention node
+(see tests/test_model.py) and have their gradients checked alongside the
+package's ops (tests/test_tensor.py). The kernels below them are the
+plain whole-array expressions of GELU, layer norm, dropout and attention:
+the package computes the same expressions in blocks of rows and in owned
+buffers, and tests/test_tensor_kernels.py requires the same bits.
 """
 
+import math
+
 import numpy as np
+from scipy.special import erf
 
 from entqa import tensor as T
 from entqa.tensor import Tensor
 
 
+def _softmax(xd: np.ndarray, axis: int) -> np.ndarray:
+    z = xd - xd.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along `axis`."""
-    y = T._softmax(x.data, axis)
-    return Tensor._make(y, ((x, lambda g: T._softmax_vjp(y, g, axis)),))
+    y = _softmax(x.data, axis)
+    return Tensor._make(y, ((x, lambda g: _softmax_vjp(y, g, axis)),))
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
@@ -32,3 +48,86 @@ def transpose(x: Tensor, *axes) -> Tensor:
 def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
     return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+# -- whole-array kernels: the oracle for the package's blocked ones ----------
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    xd, wd = x.data, w.data
+    return Tensor._make(np.matmul(xd, wd) + b.data,
+                        ((x, lambda g: np.matmul(g, wd.swapaxes(-1, -2))),
+                         (w, lambda g: np.matmul(xd.swapaxes(-1, -2), g)),
+                         (b, lambda g: g)))
+
+
+def gelu(x: Tensor) -> Tensor:
+    xd = x.data
+    cdf = 0.5 * (1.0 + erf(xd * T._INV_SQRT2))
+
+    def vjp(g):
+        pdf = np.exp(-0.5 * xd * xd) * T._INV_SQRT2PI
+        return g * (cdf + xd * pdf)
+
+    return Tensor._make(xd * cdf, ((x, vjp),))
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    xd = x.data
+    mu = xd.mean(axis=-1, keepdims=True)
+    var = xd.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (xd - mu) * inv
+
+    def vjp_x(g):
+        gy = g * gain.data
+        m1 = gy.mean(axis=-1, keepdims=True)
+        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        return inv * (gy - m1 - xhat * m2)
+
+    return Tensor._make(xhat * gain.data + bias.data,
+                        ((x, vjp_x), (gain, lambda g: g * xhat), (bias, lambda g: g)))
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
+            draw_shape: tuple | None = None) -> Tensor:
+    if not train or p <= 0.0:
+        return x
+    draw = rng.random(draw_shape or x.data.shape)
+    keep = draw[tuple(slice(n) for n in x.data.shape)] >= p
+    return Tensor._make(x.data * (keep / (1.0 - p)),
+                        ((x, lambda g: g * (keep / (1.0 - p))),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    B, L, d = q.shape
+    dh = d // heads
+
+    def split(a):
+        return a.reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(B, L, d)
+
+    qd, kt, vd = split(q.data), split(k.data).swapaxes(-1, -2), split(v.data)
+    scale = 1.0 / math.sqrt(dh)
+    scores = np.matmul(qd, kt) * scale
+    if mask is not None:
+        bias = np.where(np.asarray(mask, dtype=bool), 0.0, T.MASK_NEG)
+        scores = scores + bias[:, None, None, :]
+    y = _softmax(scores, -1)
+    memo = []
+
+    def head_grads(g):
+        if not memo:
+            gh = np.ascontiguousarray(split(g))
+            gy = np.matmul(gh, vd.swapaxes(-1, -2))
+            memo.append((gh, _softmax_vjp(y, gy, -1) * scale))
+        return memo[0]
+
+    return Tensor._make(
+        merge(np.matmul(y, vd)),
+        ((q, lambda g: merge(np.matmul(head_grads(g)[1], kt.swapaxes(-1, -2)))),
+         (k, lambda g: merge(np.matmul(qd.swapaxes(-1, -2),
+                                       head_grads(g)[1]).swapaxes(-1, -2))),
+         (v, lambda g: merge(np.matmul(y.swapaxes(-1, -2), head_grads(g)[0])))))

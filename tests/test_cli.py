@@ -322,6 +322,103 @@ class TestTrainEval:
             np.testing.assert_array_equal(a.token_ids, b.token_ids)
             assert (a.label, a.lf_id) == (b.label, b.lf_id)
 
+    def test_eval_reads_the_training_seed_from_the_run(
+            self, tmp_path, monkeypatch):
+        # without --seed, eval --subset val on a seed-7 evidence run scores
+        # the validation pairs training drew: the seed comes from the run
+        data, split, run = tmp_path / "data", tmp_path / "pl", tmp_path / "run"
+        assert main(["gen-data", "--seed", "0", "--num-notes", "4",
+                     "--setting", "paragraph", "--out", str(data)]) == 0
+        assert main(["split", "--mode", "pl", "--seed", "0",
+                     "--data", str(data / "corpus.jsonl"),
+                     "--out", str(split)]) == 0
+        common = ["--data", str(data / "corpus.jsonl"),
+                  "--vocab", str(data / "vocab.txt"),
+                  "--split", str(split / "split.json")]
+        captured = {}
+
+        def untrained(train_pairs, val_pairs, model_config, train_config,
+                      **kwargs):
+            # `train` writes the run's files around an untrained model
+            captured["train"] = val_pairs
+            config = tr.apply_system(model_config, train_config.system)
+            return tr.TrainResult(mdl.init_params(config, 0), config)
+
+        class Captured(Exception):
+            pass
+
+        def scored(params, config, pairs):
+            captured["eval"] = pairs
+            raise Captured
+
+        monkeypatch.setattr(tr, "train", untrained)
+        assert main(["train", *common, "--system", "evidence", "--seed", "7",
+                     "--set", "model.hidden_dim=16", "--set", "model.layers=1",
+                     "--set", "model.heads=2", "--set", "model.entity_dim=8",
+                     "--set", "model.ffn_mult=2", "--out", str(run)]) == 0
+        assert json.loads((run / "manifest.json").read_text())["seed"] == 7
+        monkeypatch.setattr(tr, "evaluate_pairs", scored)
+        with pytest.raises(Captured):
+            main(["eval", "--run", str(run), *common, "--subset", "val"])
+        trained, evaluated = captured["train"], captured["eval"]
+        assert len(trained) == len(evaluated) > 0
+        assert {p.label for p in trained} == {0, 1}
+        for a, b in zip(trained, evaluated):
+            np.testing.assert_array_equal(a.token_ids, b.token_ids)
+            assert (a.label, a.lf_id) == (b.label, b.lf_id)
+        # seed 0's negatives differ, so the seed was not the old default
+        with pytest.raises(Captured):
+            main(["eval", "--run", str(run), *common, "--subset", "val",
+                  "--seed", "0"])
+        assert any(not np.array_equal(a.token_ids, b.token_ids)
+                   for a, b in zip(trained, captured["eval"]))
+
+    @pytest.mark.parametrize("manifest,named", [
+        (None, "cannot read the run's seed"),
+        ({"command": "train"}, "None"),
+        ({"command": "train", "seed": "7"}, "'7'"),
+        ({"command": "train", "seed": 7.5}, "7.5"),
+        ([7], "None")],
+        ids=["missing_manifest", "missing_seed", "string_seed", "float_seed",
+             "not_an_object"])
+    def test_eval_bad_run_seed_exits_3(self, workspace, tmp_path, capsys,
+                                       manifest, named):
+        import shutil
+        bad = tmp_path / "bad_run"
+        shutil.copytree(workspace / "run", bad)
+        path = bad / "manifest.json"
+        if manifest is None:
+            path.unlink()
+        else:
+            path.write_text(json.dumps(manifest))
+        code = main(["eval", "--run", str(bad),
+                     "--data", str(workspace / "data" / "corpus.jsonl"),
+                     "--vocab", str(workspace / "data" / "vocab.txt"),
+                     "--split", str(workspace / "pl" / "split.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+
+    @pytest.mark.parametrize("change", [-5, 3], ids=["smaller", "larger"])
+    def test_eval_vocab_size_mismatch_exits_3(self, workspace, tmp_path,
+                                              capsys, change):
+        # a smaller vocabulary would score wrong token ids, a larger one
+        # index past the embedding table
+        tokens = (workspace / "data" / "vocab.txt").read_text().splitlines()
+        tokens = (tokens[:change] if change < 0
+                  else tokens + [f"zzextra{i}" for i in range(change)])
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(tokens) + "\n")
+        trained = ModelConfig.load(workspace / "run" / "model_config.json")
+        code = main(["eval", "--run", str(workspace / "run"),
+                     "--data", str(workspace / "data" / "corpus.jsonl"),
+                     "--vocab", str(vocab),
+                     "--split", str(workspace / "pl" / "split.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"holds {trained.vocab_size + change} tokens" in err
+        assert f"trained on {trained.vocab_size}" in err
+
     def test_checkpoint_of_other_system_exits_3(self, workspace, tmp_path,
                                                 capsys):
         # a checkpoint whose parameter names differ from the system's,

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import tensor_reference as ref
 from entqa import tensor as T
 from entqa.tensor import Tensor
+
+SRC = str(Path(T.__file__).resolve().parent.parent)
 
 
 def numerical_grad(fn, x: np.ndarray, h=1e-6):
@@ -271,8 +278,23 @@ class TestAttention:
         g = np.ones(out.shape)
         vjp_q(g)
         vjp_k(g)
-        with pytest.raises(AssertionError):
+        with pytest.raises(T.GradientError):
             vjp_k(2.0 * g)
+
+    def test_second_gradient_raises_under_optimize(self):
+        # the check is no `assert`, which `python -O` would strip
+        code = ("import numpy as np; from entqa import tensor as T\n"
+                "x = T.Tensor(np.ones((1, 2, 2)), requires_grad=True)\n"
+                "out = T.attention(x, x, x, 1)\n"
+                "out._edges[0][1](np.ones(out.shape))\n"
+                "try:\n"
+                "    out._edges[1][1](np.zeros(out.shape))\n"
+                "except T.GradientError:\n"
+                "    print('raised')\n")
+        run = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=SRC))
+        assert run.stdout.strip() == "raised", run.stderr
 
 
 class TestOtherOps:

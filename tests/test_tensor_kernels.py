@@ -1,0 +1,162 @@
+"""The blocked kernels give the whole-array expressions' exact bits.
+
+`entqa.tensor` computes GELU, layer norm, dropout, attention's softmax and
+linear's bias in owned buffers, in blocks of rows. Each forward and each
+vjp here must equal the plain expression in tests/tensor_reference.py bit
+for bit (signed zeros included), at the model's default and acceptance
+sizes, for a single row, for row counts that are not a multiple of the
+block, and for non-contiguous upstream gradients. No vjp may write into
+the gradient it is handed.
+"""
+
+import numpy as np
+import pytest
+
+import tensor_reference as ref
+from entqa import tensor as T
+from entqa.tensor import Tensor
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def _gradients(shape, rng):
+    """Upstream gradients of `shape`: contiguous, row-strided, with the
+    leading axes swapped, and broadcast along the rows."""
+    yield "contiguous", rng.normal(size=shape)
+    yield "strided", rng.normal(size=shape[:-1] + (2 * shape[-1],))[..., ::2]
+    if len(shape) >= 3:
+        swapped = rng.normal(size=(shape[1], shape[0]) + shape[2:])
+        yield "swapped", swapped.swapaxes(0, 1)
+    yield "broadcast", np.broadcast_to(rng.normal(size=shape[-1]), shape)
+
+
+def _check(op, ref_op, arrays, rng, **kwargs):
+    """Forward and every vjp of `op` against `ref_op`, bit for bit."""
+    ins = [Tensor(a, requires_grad=True) for a in arrays]
+    ref_ins = [Tensor(a, requires_grad=True) for a in arrays]
+    out, want = op(*ins, **kwargs), ref_op(*ref_ins, **kwargs)
+    assert _same_bits(out.data, want.data)
+    assert len(out._edges) == len(want._edges)
+    for name, g in _gradients(out.shape, rng):
+        before = g.copy()
+        # fresh nodes per gradient: attention caches its first g's products
+        out, want = op(*ins, **kwargs), ref_op(*ref_ins, **kwargs)
+        for (_, vjp), (_, ref_vjp) in zip(out._edges, want._edges):
+            assert _same_bits(vjp(g), ref_vjp(g)), name
+        assert _same_bits(g, before), f"a vjp wrote into the {name} gradient"
+
+
+# (id, shape); the default model is d = 128, FFN 512, B = 16, L = 128 and
+# the acceptance model d = 48, FFN 96, entity d = 12, B = 32, L = 30
+ROW_SHAPES = [
+    ("single_row", (1, 7)),
+    ("small_3d", (2, 3, 5)),
+    ("default_hidden", (16, 128, 128)),
+    ("default_ffn", (16, 128, 512)),
+    ("acceptance_hidden", (32, 30, 48)),
+    ("acceptance_ffn", (32, 30, 96)),
+    ("acceptance_entity", (32, 30, 12)),
+]
+ROW_IDS = [case[0] for case in ROW_SHAPES]
+
+
+@pytest.fixture(params=["default_block", "three_row_block"])
+def block(request, monkeypatch):
+    """The module's block size, or one of three rows of the checked shape
+    (so most row counts leave a partial last block)."""
+    def set_rows(row_bytes):
+        if request.param == "three_row_block":
+            monkeypatch.setattr(T, "_BLOCK_BYTES", 3 * row_bytes)
+    return set_rows
+
+
+@pytest.mark.parametrize("name,shape", ROW_SHAPES, ids=ROW_IDS)
+def test_gelu_bits(name, shape, block):
+    block(8 * shape[-1])
+    rng = np.random.default_rng(0)
+    _check(T.gelu, ref.gelu, [rng.normal(size=shape) * 3.0], rng)
+
+
+@pytest.mark.parametrize("name,shape", ROW_SHAPES, ids=ROW_IDS)
+def test_layer_norm_bits(name, shape, block):
+    block(8 * shape[-1])
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=shape) * 2.0 + 0.5
+    gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    _check(T.layer_norm, ref.layer_norm, [x, gain, bias], rng)
+
+
+@pytest.mark.parametrize("name,shape", ROW_SHAPES, ids=ROW_IDS)
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_dropout_bits(name, shape, p, block):
+    block(8 * shape[-1])
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=shape)
+    # a draw wider than x, as the model draws at max_seq_len
+    draw_shape = shape[:-2] + (shape[-2] + 3, shape[-1]) if len(shape) > 2 \
+        else None
+
+    def op(module):
+        return lambda a: module.dropout(a, p, np.random.default_rng(5), True,
+                                        draw_shape)
+
+    _check(op(T), op(ref), [x], rng)
+
+
+@pytest.mark.parametrize("name,shape", ROW_SHAPES, ids=ROW_IDS)
+def test_linear_bits(name, shape):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=shape)
+    w, b = rng.normal(size=(shape[-1], 6)), rng.normal(size=6)
+    _check(T.linear, ref.linear, [x, w, b], rng)
+
+
+# (id, [B, L, d], heads); the default token encoder, the acceptance
+# model's token and entity encoders, and small cases with a partial block
+ATTENTION_SHAPES = [
+    ("single_sequence", (1, 5, 4), 2),
+    ("small", (5, 7, 6), 3),
+    ("default_tokens", (16, 128, 128), 4),
+    ("acceptance_tokens", (32, 30, 48), 2),
+    ("acceptance_entities", (32, 30, 12), 2),
+]
+
+
+def _key_mask(rng, B, L):
+    """Padded keys after a random length per row, one row with no padding,
+    and scattered masked keys in another; position 0 is always kept."""
+    lengths = rng.integers(1, L + 1, size=B)
+    lengths[0] = L
+    mask = np.arange(L)[None, :] < lengths[:, None]
+    if B > 1:
+        mask[1] &= rng.random(L) < 0.6
+        mask[1, 0] = True
+    return mask
+
+
+@pytest.mark.parametrize("name,shape,heads", ATTENTION_SHAPES,
+                         ids=[case[0] for case in ATTENTION_SHAPES])
+@pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+def test_attention_bits(name, shape, heads, masked, block):
+    B, L, d = shape
+    block(8 * heads * L * L)
+    rng = np.random.default_rng(4)
+    qkv = [rng.normal(size=shape) for _ in range(3)]
+    mask = _key_mask(rng, B, L) if masked else None
+    _check(T.attention, ref.attention, qkv, rng, heads=heads, mask=mask)
+
+
+def test_row_blocks_cover_every_row_once():
+    for shape in [(0, 1), (1, 1), (7, T._BLOCK_BYTES // 24),
+                  (64, T._BLOCK_BYTES // 8), (5, T._BLOCK_BYTES // 4),
+                  (1000, 0)]:
+        a = np.empty(shape)
+        blocks = T._row_blocks(a)
+        covered = [i for rows in blocks for i in range(len(a))[rows]]
+        assert covered == list(range(len(a)))
+        step = max(1, T._BLOCK_BYTES // max(1, a[0:1].nbytes))
+        assert all(rows.stop - rows.start <= step for rows in blocks)

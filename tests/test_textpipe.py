@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entqa import textpipe as tp
-from entqa.textpipe import EncodingError, Vocab, encode_pair, tokenize
+from entqa.textpipe import RESERVED, EncodingError, Vocab, encode_pair, tokenize
 
 
 class TestTokenize:
@@ -213,3 +213,18 @@ def test_encode_pair_matches_reference(corpora, setting, max_seq_len):
     # the paragraph setting truncates at both lengths, some answers part-way;
     # the sentence one never truncates
     assert (truncated > 0) == (straddling > 0) == (setting == "paragraph")
+
+
+def test_vocab_build_matches_tokenize(corpora):
+    # Vocab.build collects bare token strings; it must hold exactly the
+    # tokens `tokenize` finds, in the same sorted order
+    by_setting, _ = corpora
+    for examples in (by_setting["sentence"], by_setting["paragraph"],
+                     by_setting["sentence"] + by_setting["paragraph"]):
+        texts = ([ex.question for ex in examples]
+                 + [ex.context_text for ex in examples])
+        expected = Vocab(sorted({tok for text in texts
+                                 for tok, _, _ in tokenize(text)}))
+        built = Vocab.build(texts)
+        assert built._token_to_id == expected._token_to_id
+        assert len(built) > len(RESERVED)
