@@ -2,7 +2,8 @@
 
 Layout (little-endian): magic "MTLQ", uint32 format version, length-
 prefixed config digest, uint32 record count, then per record a length-
-prefixed utf-8 name, uint32 ndim, uint32 dims, and a float32 payload.
+prefixed utf-8 name, uint32 ndim, uint32 dims, and a float32 payload;
+nothing follows the last record.
 Files are written through `atomic_write`, so a save that fails part-way
 leaves the previous file in place.
 """
@@ -59,6 +60,14 @@ def _read_bytes(fh) -> bytes:
     return _read_exact(fh, n)
 
 
+def _read_text(fh, path) -> str:
+    try:
+        return _read_bytes(fh).decode()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: a digest or parameter name is not "
+                              f"UTF-8: {exc}") from exc
+
+
 def save_checkpoint(path, params: dict[str, Tensor], config_digest: str):
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
@@ -81,17 +90,20 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        digest = _read_bytes(fh).decode()
+        digest = _read_text(fh, path)
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         arrays = {}
         for _ in range(count):
-            name = _read_bytes(fh).decode()
+            name = _read_text(fh, path)
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
             size = int(np.prod(shape)) if ndim else 1
             payload = _read_exact(fh, 4 * size)
             arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape) \
                 .astype(np.float64)
+        if fh.read(1):
+            raise CheckpointError(f"{path}: bytes after the last of its "
+                                  f"{count} records")
     return arrays, digest
 
 

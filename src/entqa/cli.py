@@ -8,8 +8,10 @@ integrity error, 4 numeric invariant failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +41,10 @@ EXIT_NUMERIC = 4
 
 SPLITS = ("train", "val", "test")
 
+# the thread-count variables BLAS libraries read when numpy loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -47,45 +53,53 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing: flat dotted keys, JSON file + key=value overrides.
+# Settings: dotted model.<field> / train.<field> keys.
 # ---------------------------------------------------------------------------
 
-def _parse_value(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
+_BY_SYSTEM = "the system (--system on train, each row on run-matrix)"
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
-def load_overrides(config_path, sets) -> dict:
-    merged: dict = {}
-    if config_path:
+def resolve_configs(args, vocab: Vocab, decided: dict,
+                    **train) -> tuple[ModelConfig, TrainConfig]:
+    """The configs a command trains with: --config's JSON object, then each
+    --set key=value (JSON, else a string), over `train` and the vocabulary
+    size. A key is accepted only if the command uses its value: an unknown
+    key, a mistyped value or a key in `decided` (key -> what decides it;
+    always the system's keys) exits 2 naming it. Configs check ranges."""
+    settings = {}
+    if args.config:
         try:
-            with open(config_path, encoding="utf-8") as fh:
-                merged.update(json.load(fh))
+            with open(args.config, encoding="utf-8") as fh:
+                settings = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {config_path}: {exc}")
-    for item in sets or []:
-        if "=" not in item:
-            raise CliError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        merged[key.strip()] = _parse_value(raw)
-    return merged
-
-
-def _apply_prefixed(cls, prefix: str, overrides: dict, **base):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    for key, value in overrides.items():
+            raise CliError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(settings, dict):
+            raise CliError(f"config {args.config} is not a JSON object")
+    for key, eq, raw in (item.partition("=") for item in args.set or []):
+        if not eq:
+            raise CliError(f"--set expects key=value, got {key!r}")
+        with contextlib.suppress(json.JSONDecodeError):
+            raw = json.loads(raw)
+        settings[key.strip()] = raw
+    decided = {"model.vocab_size": "--vocab", "model.mode": _BY_SYSTEM,
+               "model.use_entities": _BY_SYSTEM, **decided}
+    chosen = {"model": {"vocab_size": len(vocab)}, "train": train}
+    for key, value in settings.items():
         scope, _, name = key.partition(".")
-        if scope != prefix:
-            continue
-        if name not in fields:
-            raise CliError(f"unknown {prefix} config key {name!r}")
-        base[name] = value
-    try:
-        return cls(**base)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad {prefix} config: {exc}")
+        if scope not in chosen:
+            raise CliError(f"unknown config key {key!r}: keys are "
+                           "model.<field> or train.<field>")
+        cls = ModelConfig if scope == "model" else TrainConfig
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        if name not in types:
+            raise CliError(f"unknown {scope} config key {name!r}")
+        if key in decided:
+            raise CliError(f"{key} cannot be set: {decided[key]} decides it")
+        if type(value) not in _TYPES[types[name]]:
+            raise CliError(f"{key} must be {types[name]}, got {value!r}")
+        chosen[scope][name] = value
+    return ModelConfig(**chosen["model"]), TrainConfig(**chosen["train"])
 
 
 def _git_describe() -> str:
@@ -108,6 +122,8 @@ def write_manifest(out_dir: Path, command: str, argv: list, resolved: dict,
         "resolved_config": resolved,
         "seed": seed,
         "git_describe": _git_describe(),
+        "blas_thread_env": {var: os.environ.get(var)
+                            for var in BLAS_THREAD_VARS},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
@@ -155,12 +171,8 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _load_examples(path):
-    return list(read_dataset(path))
-
-
 def cmd_split(args) -> int:
-    examples = _load_examples(args.data)
+    examples = list(read_dataset(args.data))
     note_ids = sorted({ex.note_id for ex in examples})
     notes = [SimpleNamespace(note_id=i) for i in note_ids]
     assignment = make_assignment(notes, build_templates(), args.mode,
@@ -185,28 +197,6 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _resolve_split(args, examples):
-    assignment = SplitAssignment.load(args.split)
-    return filter_examples(examples, assignment)
-
-
-# model keys every system sets for itself (trainer.apply_system)
-SYSTEM_KEYS = ("model.mode", "model.use_entities")
-
-
-def _build_model_config(overrides: dict, vocab: Vocab) -> ModelConfig:
-    for key in SYSTEM_KEYS:
-        if key in overrides:
-            raise CliError(f"{key} cannot be set: the system decides it "
-                           "(--system, or each run-matrix row)")
-    return _apply_prefixed(ModelConfig, "model", overrides,
-                           vocab_size=len(vocab))
-
-
-def _build_train_config(overrides: dict, **base) -> TrainConfig:
-    return _apply_prefixed(TrainConfig, "train", overrides, **base)
-
-
 def _encode(examples, split: str, mode: str, vocab, max_seq_len: int,
             seed: int):
     """Span pairs, or evidence pairs whose negatives come from a stream
@@ -219,13 +209,15 @@ def _encode(examples, split: str, mode: str, vocab, max_seq_len: int,
 
 
 def cmd_train(args) -> int:
-    overrides = load_overrides(args.config, args.set)
-    examples = _load_examples(args.data)
+    examples = list(read_dataset(args.data))
     vocab = Vocab.load(args.vocab)
-    model_config = _build_model_config(overrides, vocab)
-    train_config = _build_train_config(overrides, seed=args.seed,
-                                       system=args.system)
-    train_ex, val_ex, _ = _resolve_split(args, examples)
+    decided = {"train.system": "--system", "train.seed": "--seed"}
+    if args.system in ("baseline", "fused"):
+        decided["model.omega"] = f"--system {args.system} (omega = 0)"
+    model_config, train_config = resolve_configs(
+        args, vocab, decided, system=args.system, seed=args.seed)
+    train_ex, val_ex, _ = filter_examples(
+        examples, SplitAssignment.load(args.split))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mode = "evidence" if train_config.system == "evidence" else "span"
@@ -279,14 +271,15 @@ def cmd_eval(args) -> int:
             f"{digest}, config is {config.digest()}", EXIT_INTEGRITY)
     params = mdl.init_params(config, seed=0)
     restore_params(params, arrays)
-    examples = _load_examples(args.data)
+    examples = list(read_dataset(args.data))
     vocab = Vocab.load(args.vocab)
     if len(vocab) != config.vocab_size:
         raise CliError(
             f"vocabulary {args.vocab} holds {len(vocab)} tokens, but the "
             f"checkpoint was trained on {config.vocab_size}", EXIT_INTEGRITY)
     seed = _run_seed(run_dir) if args.seed is None else args.seed
-    parts = dict(zip(SPLITS, _resolve_split(args, examples)))
+    parts = dict(zip(SPLITS, filter_examples(
+        examples, SplitAssignment.load(args.split))))
     pairs = _encode(parts[args.subset], args.subset, config.mode, vocab,
                     config.max_seq_len, seed)
     report = tr.evaluate_pairs(params, config, pairs)
@@ -323,11 +316,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_run_matrix(args) -> int:
-    overrides = load_overrides(args.config, args.set)
-    examples = _load_examples(args.data)
+    examples = list(read_dataset(args.data))
     vocab = Vocab.load(args.vocab)
-    model_config = _build_model_config(overrides, vocab)
-    train_config = _build_train_config(overrides)
+    model_config, train_config = resolve_configs(args, vocab, {
+        "train.system": "each run-matrix row", "train.seed": "--seeds"})
     note_ids = sorted({ex.note_id for ex in examples})
     notes = [SimpleNamespace(note_id=i) for i in note_ids]
     templates = build_templates()

@@ -447,6 +447,8 @@ def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
     """
     if num_notes < 1:
         raise ConfigurationError("num_notes must be >= 1")
+    if facts_per_note < 1:
+        raise ConfigurationError("facts_per_note must be >= 1")
     if not 0.0 <= distractor_rate < 1.0:
         raise ConfigurationError("distractor_rate must be in [0, 1)")
     if not (MEDICATIONS and CONDITIONS and SYMPTOMS and PROCEDURES):

@@ -102,15 +102,13 @@ def lf_exact_scores(preds, golds, num_classes: int | None = None,
     return _class_scores(preds, golds, num_classes, weighted)
 
 
-def lf_relaxed_scores(preds, golds, lf_inventory=None) -> PRF:
-    """Per-example multiset overlap between predicted and gold LF tokens,
-    averaged over examples."""
+def lf_relaxed_scores(preds, golds) -> PRF:
+    """Per-example multiset overlap between predicted and gold LF tokens
+    (those of LOGICAL_FORMS), averaged over examples."""
     preds, golds = list(preds), list(golds)
     if not preds or len(preds) != len(golds):
         raise MetricError("need equal non-empty prediction/gold lists")
-    if lf_inventory is None:
-        lf_inventory = LOGICAL_FORMS
-    tokens = {lf.lf_id: lf.lf_tokens for lf in lf_inventory}
+    tokens = {lf.lf_id: lf.lf_tokens for lf in LOGICAL_FORMS}
     for v in list(preds) + list(golds):
         if v not in tokens:
             raise MetricError(f"class {v} has no tokenization")
@@ -127,7 +125,7 @@ def lf_relaxed_scores(preds, golds, lf_inventory=None) -> PRF:
     return PRF(float(np.mean(ps)), float(np.mean(rs)), float(np.mean(fs)))
 
 
-def evidence_scores(pred_labels, gold_labels, weighted: bool = True) -> PRF:
+def evidence_scores(pred_labels, gold_labels) -> PRF:
     """Binary P/R/F1, support-weighted across the two classes."""
     preds, golds = list(pred_labels), list(gold_labels)
     if not preds or len(preds) != len(golds):
@@ -135,7 +133,7 @@ def evidence_scores(pred_labels, gold_labels, weighted: bool = True) -> PRF:
     for v in list(preds) + list(golds):
         if v not in (0, 1):
             raise MetricError(f"evidence label must be 0 or 1, got {v}")
-    return _class_scores(preds, golds, 2, weighted)
+    return _class_scores(preds, golds, 2, weighted=True)
 
 
 @dataclass

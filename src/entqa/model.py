@@ -144,13 +144,16 @@ def make_batch(pairs: list[EncodedPair]) -> Batch:
 # Parameter initialization.
 # ---------------------------------------------------------------------------
 
-def _truncated_normal(rng, shape, std=0.02):
-    """Normal(0, std) resampled until inside +-2 std."""
-    x = rng.normal(0.0, std, size=shape)
-    bad = np.abs(x) > 2 * std
+INIT_STD = 0.02
+
+
+def _truncated_normal(rng, shape):
+    """Normal(0, INIT_STD) resampled until inside +-2 INIT_STD."""
+    x = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(x) > 2 * INIT_STD
     while bad.any():
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2 * std
+        x[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(x) > 2 * INIT_STD
     return x
 
 
@@ -328,10 +331,13 @@ def forward(params, config: ModelConfig, batch: Batch,
 
 @dataclass
 class LossParts:
+    """The loss to differentiate and its logged parts; a part the system
+    does not compute is None (null in train_log.jsonl)."""
+
     total: Tensor
-    span: float = float("nan")
-    lf: float = float("nan")
-    evidence: float = float("nan")
+    span: float | None = None
+    lf: float | None = None
+    evidence: float | None = None
 
 
 def _mix_lf(outputs: HeadOutputs, main: Tensor, lf_ids,

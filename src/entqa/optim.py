@@ -8,15 +8,16 @@ import numpy as np
 
 from .tensor import GradientError, Tensor
 
+BETA1 = 0.9     # first-moment decay
+BETA2 = 0.999   # second-moment decay
+EPS = 1e-8      # added to the root of the second moment
+
 
 @dataclass
 class AdamState:
-    """Per-parameter moment buffers plus the shared hyperparameters; the
-    learning rate is passed to each `adam_step`."""
+    """Per-parameter moment buffers plus the weight decay; the learning
+    rate is passed to each `adam_step`."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-5
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
@@ -37,8 +38,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
@@ -46,12 +47,12 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
         state._ensure(name, p.data)
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.data -= lr * mhat / (np.sqrt(vhat) + EPS)
         if state.weight_decay:
             p.data -= lr * state.weight_decay * p.data

@@ -49,6 +49,10 @@ DTYPE = np.float64
 
 MASK_NEG = -1e30
 
+LAYER_NORM_EPS = 1e-5   # added to the variance before its root
+
+GRADCHECK_STEP = 1e-5   # central finite-difference step
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -295,7 +299,7 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(out, ((x, vjp),))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Keeps the normalized input and the inverse deviation per row for
@@ -312,7 +316,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         np.subtract(X[rows], X[rows].mean(axis=-1, keepdims=True), out=c)
         np.multiply(c, c, out=o)
         var = o.mean(axis=-1, keepdims=True)
-        var += eps
+        var += LAYER_NORM_EPS
         np.sqrt(var, out=var)
         np.divide(1.0, var, out=iv)
         c *= iv
@@ -499,7 +503,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 # -- gradient checking --------------------------------------------------------
 
-def gradcheck(loss_fn, params: dict, rng: np.random.Generator, h: float = 1e-5,
+def gradcheck(loss_fn, params: dict, rng: np.random.Generator,
               max_elements: int = 25) -> dict:
     """Compare analytic gradients against central finite differences.
 
@@ -521,12 +525,12 @@ def gradcheck(loss_fn, params: dict, rng: np.random.Generator, h: float = 1e-5,
         max_rel = 0.0
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRADCHECK_STEP
             up = loss_fn().item()
-            flat[i] = orig - h
+            flat[i] = orig - GRADCHECK_STEP
             down = loss_fn().item()
             flat[i] = orig
-            num = (up - down) / (2 * h)
+            num = (up - down) / (2 * GRADCHECK_STEP)
             denom = max(abs(num), abs(analytic[i]), 1e-8)
             max_rel = max(max_rel, abs(num - analytic[i]) / denom)
         report[name] = max_rel

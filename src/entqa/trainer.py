@@ -14,7 +14,7 @@ import numpy as np
 from . import metrics as M
 from . import model as mdl
 from .checkpoint import atomic_write
-from .corpus import LOGICAL_FORMS, QAExample
+from .corpus import QAExample
 from .model import Batch, ModelConfig
 from .optim import AdamState, adam_step
 from .tensor import GradientError, Tensor
@@ -318,8 +318,7 @@ def evaluate_pairs(params, config: ModelConfig, pairs,
                                             config.num_lf_classes)
         report.lf_exact_macro = M.lf_exact_scores(
             lf_preds, lf_golds, config.num_lf_classes, weighted=False)
-        report.lf_relaxed = M.lf_relaxed_scores(lf_preds, lf_golds,
-                                                LOGICAL_FORMS)
+        report.lf_relaxed = M.lf_relaxed_scores(lf_preds, lf_golds)
         report.confusion = M.confusion_matrix(
             lf_preds, lf_golds, config.num_lf_classes).tolist()
     return report

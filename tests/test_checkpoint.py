@@ -81,6 +81,27 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", ["digest", "name"])
+    def test_non_utf8_text_names_the_file(self, tmp_path, params, field):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, "d")
+        blob = path.read_bytes()
+        # the digest "d" is byte 12; the first name, "b", is byte 21, after
+        # the record count and the name's length
+        at = 12 if field == "digest" else 21
+        path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        with pytest.raises(CheckpointError, match="not UTF-8") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_trailing_bytes_name_the_file(self, tmp_path, params):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, "d")
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="after the last") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_restore_name_mismatch(self, params):
         arrays = {k: v.data for k, v in params.items()}
         del arrays["b"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -69,6 +70,25 @@ class TestGenData:
         assert main(["gen-data", "--num-notes", "0",
                      "--out", str(tmp_path / "x")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("facts", ["0", "-2"])
+    def test_no_facts_per_note_exits_2(self, tmp_path, capsys, facts):
+        # notes without facts would write an empty corpus
+        assert main(["gen-data", "--num-notes", "3", "--facts-per-note",
+                     facts, "--out", str(tmp_path / "x")]) == 2
+        assert "facts_per_note" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "corpus.jsonl").exists()
+
+    def test_manifest_records_blas_thread_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        assert main(["gen-data", "--num-notes", "2",
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["blas_thread_env"] == {
+            "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": "1"}
 
 
 class TestSplit:
@@ -419,6 +439,24 @@ class TestTrainEval:
         assert f"holds {trained.vocab_size + change} tokens" in err
         assert f"trained on {trained.vocab_size}" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda blob: blob + b"\x00",
+        lambda blob: blob[:12] + b"\xff" + blob[13:]],
+        ids=["trailing_bytes", "digest_not_utf8"])
+    def test_bad_checkpoint_bytes_exit_3(self, workspace, tmp_path, capsys,
+                                         edit):
+        import shutil
+        bad = tmp_path / "bad_run"
+        shutil.copytree(workspace / "run", bad)
+        path = bad / "model.ckpt"
+        path.write_bytes(edit(path.read_bytes()))
+        code = main(["eval", "--run", str(bad),
+                     "--data", str(workspace / "data" / "corpus.jsonl"),
+                     "--vocab", str(workspace / "data" / "vocab.txt"),
+                     "--split", str(workspace / "pl" / "split.json")])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+
     def test_checkpoint_of_other_system_exits_3(self, workspace, tmp_path,
                                                 capsys):
         # a checkpoint whose parameter names differ from the system's,
@@ -483,29 +521,212 @@ class TestTrainEval:
         assert "not_a_field" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "run-matrix"])
-@pytest.mark.parametrize("key,value", [("model.mode", "evidence"),
-                                       ("model.use_entities", False)])
-@pytest.mark.parametrize("source", ["set", "config"])
-def test_system_keys_refused(workspace, tmp_path, capsys, command, key,
-                             value, source):
-    # apply_system sets these for every system, so an override would be
-    # silently discarded
+def _training_args(workspace, tmp_path, command, system="fused"):
     data = workspace / "data"
     args = [command, "--data", str(data / "corpus.jsonl"),
             "--vocab", str(data / "vocab.txt"), "--out", str(tmp_path / "out")]
     if command == "train":
         args += ["--split", str(workspace / "pl" / "split.json"),
-                 "--system", "fused"]
+                 "--system", system]
+    return args
+
+
+def _setting(tmp_path, source, key, value):
+    """`key` set to `value` through --set or through a --config file."""
     if source == "set":
-        args += ["--set", f"{key}={json.dumps(value)}"]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: value}))
-        args += ["--config", str(config)]
-    assert main(args) == 2
+        return ["--set", f"{key}={json.dumps(value)}"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    return ["--config", str(config)]
+
+
+def _no_training(monkeypatch):
+    def trained(*args, **kwargs):
+        raise AssertionError("a refused setting reached training")
+    monkeypatch.setattr(tr, "train", trained)
+    monkeypatch.setattr(tr, "run_matrix", trained)
+
+
+# what decides each key a training command sets itself, as its message says
+DECIDED_BY = {
+    "model.vocab_size": {"train": "--vocab", "run-matrix": "--vocab"},
+    "model.mode": {"train": "--system", "run-matrix": "--system"},
+    "model.use_entities": {"train": "--system", "run-matrix": "--system"},
+    "train.system": {"train": "--system", "run-matrix": "run-matrix row"},
+    "train.seed": {"train": "--seed", "run-matrix": "--seeds"},
+}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_json_output_is_strict_json(tmp_path):
+    # RFC 8259 has no NaN or Infinity: a loss a system does not compute is
+    # logged as null, on span and on evidence runs alike
+    data, split = tmp_path / "data", tmp_path / "pl"
+    assert main(["gen-data", "--seed", "0", "--num-notes", "4",
+                 "--setting", "paragraph", "--out", str(data)]) == 0
+    assert main(["split", "--mode", "pl", "--seed", "0",
+                 "--data", str(data / "corpus.jsonl"),
+                 "--out", str(split)]) == 0
+    common = ["--data", str(data / "corpus.jsonl"),
+              "--vocab", str(data / "vocab.txt"),
+              "--split", str(split / "split.json")]
+    for system in ("multitask", "evidence"):
+        run = tmp_path / system
+        assert main(["train", *common, "--system", system,
+                     "--set", "model.hidden_dim=16", "--set", "model.layers=1",
+                     "--set", "model.heads=2", "--set", "model.entity_dim=8",
+                     "--set", "model.ffn_mult=2", "--set", "train.epochs=1",
+                     "--set", "train.batch_size=32", "--out", str(run)]) == 0
+        assert main(["eval", "--run", str(run), *common, "--subset", "val",
+                     "--out", str(tmp_path / f"{system}_eval")]) == 0
+    files = sorted(tmp_path.rglob("*.json")) + sorted(tmp_path.rglob("*.jsonl"))
+    assert len([f for f in files if f.name == "train_log.jsonl"]) == 2
+    for path in files:
+        for line in path.read_text().splitlines() if path.suffix == ".jsonl" \
+                else [path.read_text()]:
+            json.loads(line, parse_constant=_refuse_constant)
+    logs = {system: [json.loads(line) for line in
+                     (tmp_path / system / "train_log.jsonl").open()]
+            for system in ("multitask", "evidence")}
+    assert all(e["L_evidence"] is None for e in logs["multitask"])
+    assert all(e["L_span"] is None for e in logs["evidence"])
+    for path in tmp_path.rglob("manifest.json"):
+        assert "blas_thread_env" in json.loads(path.read_text()), path
+
+
+@pytest.mark.parametrize("command", ["train", "run-matrix"])
+@pytest.mark.parametrize("key,value", [("model.mode", "evidence"),
+                                       ("model.use_entities", False),
+                                       ("model.vocab_size", 50),
+                                       ("train.system", "evidence"),
+                                       ("train.seed", 9)])
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_system_keys_refused(workspace, tmp_path, capsys, monkeypatch,
+                             command, key, value, source):
+    # the command sets these itself, so an override would be silently
+    # discarded (or, for the vocabulary size, break the embedding table)
+    _no_training(monkeypatch)
+    args = _training_args(workspace, tmp_path, command)
+    assert main(args + _setting(tmp_path, source, key, value)) == 2
     err = capsys.readouterr().err
-    assert key in err and "--system" in err
+    assert key in err and DECIDED_BY[key][command] in err
+
+
+@pytest.mark.parametrize("system", ["baseline", "fused"])
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_omega_refused_where_the_system_zeroes_it(
+        workspace, tmp_path, capsys, monkeypatch, system, source):
+    _no_training(monkeypatch)
+    args = _training_args(workspace, tmp_path, "train", system)
+    assert main(args + _setting(tmp_path, source, "model.omega", 0.5)) == 2
+    err = capsys.readouterr().err
+    assert "model.omega" in err and f"--system {system}" in err
+
+
+@pytest.mark.parametrize("command", ["train", "run-matrix"])
+@pytest.mark.parametrize("key", ["trian.epochs", "epochs", "lr",
+                                 "optimizer.lr"])
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_misscoped_key_exits_2(workspace, tmp_path, capsys, monkeypatch,
+                               command, key, source):
+    _no_training(monkeypatch)
+    args = _training_args(workspace, tmp_path, command)
+    assert main(args + _setting(tmp_path, source, key, 1)) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "run-matrix"])
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"train.lr=1"', "null"])
+def test_config_that_is_not_an_object_exits_2(workspace, tmp_path, capsys,
+                                              command, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    args = _training_args(workspace, tmp_path, command)
+    assert main(args + ["--config", str(config)]) == 2
+    assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("train.epochs", 1.5),
+                                       ("model.hidden_dim", "16"),
+                                       ("model.dropout", "0.1"),
+                                       ("model.omega", True),
+                                       ("train.system", 3)])
+def test_mistyped_value_exits_2(workspace, tmp_path, capsys, monkeypatch,
+                                key, value):
+    _no_training(monkeypatch)
+    args = _training_args(workspace, tmp_path, "run-matrix")
+    assert main(args + _setting(tmp_path, "set", key, value)) == 2
+    assert key in capsys.readouterr().err
+
+
+# a valid value other than the default for every settable field
+FIELD_VALUES = {
+    "model.vocab_size": 50, "model.hidden_dim": 16, "model.layers": 1,
+    "model.heads": 2, "model.entity_dim": 8,
+    "model.entity_attention_layers": 2, "model.entity_heads": 2,
+    "model.omega": 0.5, "model.dropout": 0.0, "model.max_seq_len": 48,
+    "model.max_answer_len": 10, "model.mode": "evidence",
+    "model.use_entities": False, "model.ffn_mult": 2,
+    "train.lr": 0.001, "train.weight_decay": 0.0, "train.warmup_frac": 0.2,
+    "train.epochs": 1, "train.batch_size": 8, "train.seed": 5,
+    "train.patience": 1, "train.system": "fused",
+}
+
+
+@pytest.mark.parametrize("command", ["train", "run-matrix"])
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_every_setting_is_trained_with_or_exits_2(
+        workspace, tmp_path, capsys, monkeypatch, command, source):
+    # each value either reaches the configs training runs with (after
+    # apply_system; on run-matrix, in at least one row) or exits 2 naming
+    # its key, and only the keys the command decides itself exit 2
+    defaults = {**{f"model.{f.name}": f.default
+                   for f in dataclasses.fields(ModelConfig)},
+                **{f"train.{f.name}": f.default
+                   for f in dataclasses.fields(tr.TrainConfig)}}
+    assert set(FIELD_VALUES) == set(defaults)
+
+    class Captured(Exception):
+        pass
+
+    rows = []
+
+    def capture_train(train_pairs, val_pairs, model_config, train_config,
+                      **kwargs):
+        rows.append((tr.apply_system(model_config, train_config.system),
+                     train_config))
+        raise Captured
+
+    def capture_matrix(splits_by_mode, vocab, model_config, train_config,
+                       seeds, **kwargs):
+        for system, _ in tr.MATRIX_ROWS:
+            for seed in seeds:
+                rows.append((tr.apply_system(model_config, system),
+                             dataclasses.replace(train_config, system=system,
+                                                 seed=seed)))
+        raise Captured
+
+    monkeypatch.setattr(tr, "train", capture_train)
+    monkeypatch.setattr(tr, "run_matrix", capture_matrix)
+    refused = set()
+    for key, value in FIELD_VALUES.items():
+        assert value != defaults[key], key
+        rows.clear()
+        args = _training_args(workspace, tmp_path, command, "multitask")
+        try:
+            code = main(args + _setting(tmp_path, source, key, value))
+        except Captured:
+            scope, _, name = key.partition(".")
+            assert any(getattr(model if scope == "model" else train, name)
+                       == value for model, train in rows), key
+            continue
+        assert code == 2, key
+        assert key in capsys.readouterr().err, key
+        refused.add(key)
+    assert refused == set(DECIDED_BY)
 
 
 class TestGradcheck:

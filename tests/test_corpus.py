@@ -128,6 +128,12 @@ class TestGenerateCorpus:
         with pytest.raises(C.ConfigurationError):
             generate_corpus(seed=0, num_notes=0)
 
+    @pytest.mark.parametrize("facts", [0, -2])
+    def test_no_facts_per_note_is_refused(self, facts):
+        # a note without facts answers no question: the corpus would be empty
+        with pytest.raises(C.ConfigurationError, match="facts_per_note"):
+            generate_corpus(seed=0, num_notes=3, facts_per_note=facts)
+
 
 class TestInstantiateQuestions:
     def test_dosage_example(self):

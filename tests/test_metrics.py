@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from entqa import metrics as M
 from entqa.corpus import LOGICAL_FORMS, lf_tokenize
 from entqa.metrics import (EvalReport, MetricError, confusion_matrix,
                            evidence_scores, lf_exact_scores,
@@ -143,11 +144,12 @@ class TestLfExact:
 
 
 class TestLfRelaxed:
-    def test_hand_case(self):
+    def test_hand_case(self, monkeypatch):
         cls = type(LOGICAL_FORMS[0])
         inventory = [cls(0, "Event (|x|) [a=b]"), cls(1, "Event (|x|) [c=b]")]
+        monkeypatch.setattr(M, "LOGICAL_FORMS", inventory)
         # both forms tokenize to 4 tokens sharing 3: P=R=F1=0.75
-        prf = lf_relaxed_scores([0], [1], lf_inventory=inventory)
+        prf = lf_relaxed_scores([0], [1])
         assert prf.precision == pytest.approx(0.75)
         assert prf.recall == pytest.approx(0.75)
         assert prf.f1 == pytest.approx(0.75)
@@ -214,10 +216,9 @@ class TestEvidence:
             n = int(rng.integers(1, 30))
             preds = rng.integers(0, 2, size=n).tolist()
             golds = rng.integers(0, 2, size=n).tolist()
-            for weighted in (True, False):
-                prf = evidence_scores(preds, golds, weighted)
-                assert (prf.precision, prf.recall, prf.f1) == brute_force_prf(
-                    preds, golds, (0, 1), weighted)
+            prf = evidence_scores(preds, golds)
+            assert (prf.precision, prf.recall, prf.f1) == brute_force_prf(
+                preds, golds, (0, 1), True)
 
 
 class TestConfusionAndReport:
