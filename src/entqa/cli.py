@@ -23,16 +23,15 @@ from . import model as mdl
 from . import trainer as tr
 from .checkpoint import (CheckpointError, atomic_write, load_checkpoint,
                          restore_params, save_checkpoint)
-from .corpus import (ConfigurationError, DatasetError, LOGICAL_FORMS,
-                     build_paragraph_context, build_templates, generate_corpus,
-                     instantiate_questions, lf_tokenize, read_dataset,
-                     write_dataset)
+from .corpus import (DatasetError, LOGICAL_FORMS, build_paragraph_context,
+                     build_templates, generate_corpus, instantiate_questions,
+                     lf_tokenize, read_dataset, write_dataset)
 from .model import ModelConfig
-from .splits import SplitAssignment, SplitError, filter_examples, \
-    leakage_audit, make_assignment
+from .splits import SplitAssignment, filter_examples, leakage_audit, \
+    make_assignment
 from .tensor import GradientError
 from .textpipe import EncodingError, Vocab
-from .trainer import TrainConfig, TrainError
+from .trainer import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,8 +138,6 @@ def _emit(payload: dict, as_json: bool, human: str):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    if args.num_notes < 1:
-        raise CliError("--num-notes must be positive")
     out = Path(args.out)
     notes = generate_corpus(seed=args.seed, num_notes=args.num_notes,
                             facts_per_note=args.facts_per_note,
@@ -214,6 +211,13 @@ def cmd_train(args) -> int:
     decided = {"train.system": "--system", "train.seed": "--seed"}
     if args.system in ("baseline", "fused"):
         decided["model.omega"] = f"--system {args.system} (omega = 0)"
+    if args.system == "baseline":
+        decided.update(dict.fromkeys(
+            ("model.entity_dim", "model.entity_heads",
+             "model.entity_attention_layers"),
+            "--system baseline (no entity encoder)"))
+    if args.system == "evidence":
+        decided["model.max_answer_len"] = "--system evidence (no span decoding)"
     model_config, train_config = resolve_configs(
         args, vocab, decided, system=args.system, seed=args.seed)
     train_ex, val_ex, _ = filter_examples(
@@ -466,7 +470,7 @@ def main(argv=None) -> int:
     except GradientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigurationError, SplitError, TrainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,32 +19,13 @@ from .checkpoint import atomic_write
 from .textpipe import SEMANTIC_TYPE_IDS
 
 # ---------------------------------------------------------------------------
-# Logical form inventory: eight relation forms plus the dosage form.
+# Logical forms: eight relation forms plus the dosage form. Each entry is
+# the one definition of its form: the facts it generates, the sentences
+# that realize them and the questions that ask about them.
 # ---------------------------------------------------------------------------
 
-LF_STRINGS = [
-    "MedicationEvent (|medication|) [dosage=x]",
-    "MedicationEvent (|medication|) [sig=x]",
-    "MedicationEvent (|medication|) causes {ConditionEvent (x) OR SymptomEvent (x)}",
-    "MedicationEvent (|medication|) given {ConditionEvent (x) OR SymptomEvent (x)}",
-    "[ProcedureEvent (|treatment|) given/conducted {ConditionEvent (x) OR "
-    "SymptomEvent (x)}] OR [MedicationEvent (|treatment|) given {ConditionEvent (x) "
-    "OR SymptomEvent (x)}]",
-    "{MedicationEvent (x) CheckIfNull ([enddate]) OR MedicationEvent (x) "
-    "[enddate>currentDate] OR ProcedureEvent (x) [date=x]} given {ConditionEvent "
-    "(|problem|) OR SymptomEvent (|problem|)}",
-    "{MedicationEvent (x) CheckIfNull ([enddate]) OR MedicationEvent (x) "
-    "[enddate>currentDate]} given {ConditionEvent (|problem|) OR SymptomEvent "
-    "(|problem|)}",
-    "{MedicationEvent (|treatment|) OR ProcedureEvent (|treatment|)} given "
-    "{ConditionEvent (x) OR SymptomEvent (x)}",
-    "{MedicationEvent (|treatment|) OR ProcedureEvent (|treatment|)} "
-    "improves/worsens/causes {ConditionEvent (x) OR SymptomEvent (x)}",
-]
-
-NUM_LF = len(LF_STRINGS)
-
 _LF_TOKEN_RE = re.compile(r"\|[^|\s]+\||[^\s()\[\]{}=,]+")
+_MARKER_RE = re.compile(r"\|([^|]+)\|")
 
 
 def lf_tokenize(lf_string: str) -> Counter:
@@ -58,15 +39,190 @@ def lf_tokenize(lf_string: str) -> Counter:
 
 @dataclass(frozen=True)
 class LogicalForm:
+    """A fact of this form draws one value per slot of `draws`, in order,
+    from the named source (see `_draw`); one of `sentences` realizes it,
+    with its `answer_slot` value as the answer. Each paraphrase asks about
+    the slot that `lf_string`'s |slot| marker names."""
     lf_id: int
     lf_string: str
+    answer_slot: str
+    draws: dict         # slot -> source, in draw order
+    sentences: list     # templates with {slot} placeholders
+    paraphrases: list   # questions with the |slot| marker
 
     @property
     def lf_tokens(self) -> Counter:
         return lf_tokenize(self.lf_string)
 
+    @property
+    def question_slot(self) -> str:
+        return _MARKER_RE.search(self.lf_string).group(1)
 
-LOGICAL_FORMS = [LogicalForm(i, s) for i, s in enumerate(LF_STRINGS)]
+
+# Paired forms share one sentence family so the sentence alone never
+# reveals which slot is being asked about; the question has to decide.
+_MED_DOSE_SIG = [
+    "the patient was started on {medication} {dose} {sig} .",
+    "{medication} {dose} {sig} was prescribed at discharge .",
+    "current regimen includes {medication} {dose} taken {sig} .",
+]
+_MED_PROBLEM_SYMPTOM = [
+    "{medication} was given for {problem} but caused {symptom} .",
+    "the patient is on {medication} for {problem} and developed {symptom} .",
+    "{medication} , prescribed to control {problem} , was linked to {symptom} .",
+]
+_TREAT_PROBLEM_SYMPTOM = [
+    "{treatment} administered to treat {problem} improved the {symptom} .",
+    "after {treatment} for {problem} the patient's {symptom} resolved .",
+    "{treatment} , provided in response to {problem} , helped the {symptom} .",
+]
+_MED_SYMPTOM_PROBLEM = {"medication": "medication", "symptom": "symptom",
+                        "problem": "condition"}
+_TREAT_SYMPTOM_PROBLEM = {"symptom": "symptom", "problem": "condition",
+                          "treatment": "treatment"}
+
+LOGICAL_FORMS = [
+    LogicalForm(
+        0, "MedicationEvent (|medication|) [dosage=x]", answer_slot="dose",
+        draws={"medication": "medication", "dose": "dose", "sig": "sig"},
+        sentences=_MED_DOSE_SIG, paraphrases=[
+            "what is the dosage of |medication| ?",
+            "what dose of |medication| does the patient take ?",
+            "how much |medication| does the patient take per day ?",
+            "what is the current dose of |medication| ?",
+            "what was the dosage prescribed of |medication| ?",
+            "what amount of |medication| is the patient on ?",
+            "at what strength is |medication| given ?",
+            "how many milligrams of |medication| are prescribed ?",
+        ]),
+    LogicalForm(
+        1, "MedicationEvent (|medication|) [sig=x]", answer_slot="sig",
+        draws={"medication": "medication", "dose": "dose", "sig": "sig"},
+        sentences=_MED_DOSE_SIG, paraphrases=[
+            "how often does the patient take |medication| ?",
+            "what is the sig of |medication| ?",
+            "when should the patient take |medication| ?",
+            "what is the dosing schedule for |medication| ?",
+            "how frequently is |medication| taken ?",
+            "what are the instructions for taking |medication| ?",
+            "on what schedule is |medication| administered ?",
+            "how is the patient supposed to take |medication| ?",
+        ]),
+    LogicalForm(
+        2, "MedicationEvent (|medication|) causes {ConditionEvent (x) OR "
+        "SymptomEvent (x)}", answer_slot="symptom",
+        draws=_MED_SYMPTOM_PROBLEM, sentences=_MED_PROBLEM_SYMPTOM,
+        paraphrases=[
+            "what adverse reaction did |medication| cause ?",
+            "what side effect did the patient have from |medication| ?",
+            "what reaction was attributed to |medication| ?",
+            "what symptom appeared after starting |medication| ?",
+            "what problem did |medication| lead to ?",
+            "what did |medication| cause ?",
+            "which complaint followed the start of |medication| ?",
+            "what adverse event is linked to |medication| ?",
+        ]),
+    LogicalForm(
+        3, "MedicationEvent (|medication|) given {ConditionEvent (x) OR "
+        "SymptomEvent (x)}", answer_slot="problem",
+        draws=_MED_SYMPTOM_PROBLEM, sentences=_MED_PROBLEM_SYMPTOM,
+        paraphrases=[
+            "why is the patient on |medication| ?",
+            "what is |medication| given for ?",
+            "what condition is treated with |medication| ?",
+            "for what reason was |medication| prescribed ?",
+            "what diagnosis led to |medication| ?",
+            "what is the indication for |medication| ?",
+            "why was |medication| started ?",
+            "what does |medication| treat in this patient ?",
+        ]),
+    LogicalForm(
+        4, "[ProcedureEvent (|treatment|) given/conducted {ConditionEvent (x) "
+        "OR SymptomEvent (x)}] OR [MedicationEvent (|treatment|) given "
+        "{ConditionEvent (x) OR SymptomEvent (x)}]", answer_slot="problem",
+        draws={"problem": "condition", "treatment": "procedure"}, sentences=[
+            "{treatment} was conducted for {problem} .",
+            "the patient underwent {treatment} for evaluation of {problem} .",
+            "{treatment} was ordered because of {problem} .",
+        ], paraphrases=[
+            "why was |treatment| conducted ?",
+            "what was the reason for the |treatment| ?",
+            "what condition prompted the |treatment| ?",
+            "for what was the |treatment| performed ?",
+            "what was |treatment| done to evaluate ?",
+            "what finding led to the |treatment| ?",
+            "why did the patient undergo |treatment| ?",
+            "what is the indication for the |treatment| ?",
+        ]),
+    LogicalForm(
+        5, "{MedicationEvent (x) CheckIfNull ([enddate]) OR MedicationEvent "
+        "(x) [enddate>currentDate] OR ProcedureEvent (x) [date=x]} given "
+        "{ConditionEvent (|problem|) OR SymptomEvent (|problem|)}",
+        answer_slot="treatment",
+        draws={"problem": "condition", "treatment": "treatment"}, sentences=[
+            "for {problem} the plan is to continue {treatment} .",
+            "{problem} will be managed with {treatment} .",
+            "the team decided to treat {problem} with {treatment} .",
+        ], paraphrases=[
+            "what is the plan for |problem| ?",
+            "how will |problem| be managed ?",
+            "what treatment is planned for |problem| ?",
+            "what is being done about |problem| ?",
+            "how is |problem| being addressed ?",
+            "what therapy was chosen for |problem| ?",
+            "what is the management strategy for |problem| ?",
+            "what will the patient receive for |problem| ?",
+        ]),
+    LogicalForm(
+        6, "{MedicationEvent (x) CheckIfNull ([enddate]) OR MedicationEvent "
+        "(x) [enddate>currentDate]} given {ConditionEvent (|problem|) OR "
+        "SymptomEvent (|problem|)}", answer_slot="medication",
+        draws={"problem": "condition", "medication": "medication"}, sentences=[
+            "for {problem} the patient remains on {medication} .",
+            "ongoing {problem} is controlled with {medication} .",
+            "{medication} continues to be taken for the patient's {problem} .",
+        ], paraphrases=[
+            "what medication is the patient on for |problem| ?",
+            "which drug controls the patient's |problem| ?",
+            "what does the patient take for |problem| ?",
+            "what is prescribed for the |problem| ?",
+            "which medication manages |problem| ?",
+            "what current medication addresses |problem| ?",
+            "what is the patient taking for |problem| ?",
+            "which agent is used for |problem| ?",
+        ]),
+    LogicalForm(
+        7, "{MedicationEvent (|treatment|) OR ProcedureEvent (|treatment|)} "
+        "given {ConditionEvent (x) OR SymptomEvent (x)}", answer_slot="problem",
+        draws=_TREAT_SYMPTOM_PROBLEM, sentences=_TREAT_PROBLEM_SYMPTOM,
+        paraphrases=[
+            "what was |treatment| administered for ?",
+            "what problem did |treatment| address ?",
+            "what was the |treatment| meant to treat ?",
+            "which condition was |treatment| given for ?",
+            "what was treated with |treatment| ?",
+            "what illness required |treatment| ?",
+            "what was the target of the |treatment| ?",
+            "for which complaint did the patient receive |treatment| ?",
+        ]),
+    LogicalForm(
+        8, "{MedicationEvent (|treatment|) OR ProcedureEvent (|treatment|)} "
+        "improves/worsens/causes {ConditionEvent (x) OR SymptomEvent (x)}",
+        answer_slot="symptom",
+        draws=_TREAT_SYMPTOM_PROBLEM, sentences=_TREAT_PROBLEM_SYMPTOM,
+        paraphrases=[
+            "what symptom did |treatment| improve ?",
+            "which complaint changed after |treatment| ?",
+            "what got better with |treatment| ?",
+            "what symptom responded to |treatment| ?",
+            "which symptom was affected by |treatment| ?",
+            "what complaint did the |treatment| help ?",
+            "which symptom did the |treatment| alter ?",
+            "what improved after the patient received |treatment| ?",
+        ]),
+]
+
+NUM_LF = len(LOGICAL_FORMS)
 
 
 # ---------------------------------------------------------------------------
@@ -137,66 +293,16 @@ def _tags_for(value: str, start: int) -> list:
     return [] if code is None else [[code, start, start + len(value)]]
 
 
-# ---------------------------------------------------------------------------
-# Fact kinds: one per logical form. Each fact maps to one sentence and the
-# logical form designates which slot is the answer.
-# ---------------------------------------------------------------------------
-
-# kind -> (question slot name, answer slot name)
-FACT_KINDS = {
-    "dosage": ("medication", "dose"),
-    "sig": ("medication", "sig"),
-    "adverse": ("medication", "symptom"),
-    "med_for": ("medication", "problem"),
-    "proc_for": ("treatment", "problem"),
-    "care_plan": ("problem", "treatment"),
-    "med_current": ("problem", "medication"),
-    "treat_for": ("treatment", "problem"),
-    "treat_effect": ("treatment", "symptom"),
-}
-KIND_ORDER = list(FACT_KINDS)
-KIND_TO_LF = {kind: i for i, kind in enumerate(KIND_ORDER)}
-
-# Paired fact kinds share one template family so the sentence alone never
-# reveals which slot is being asked about; the question has to decide.
-_MED_DOSE_SIG = [
-    "the patient was started on {medication} {dose} {sig} .",
-    "{medication} {dose} {sig} was prescribed at discharge .",
-    "current regimen includes {medication} {dose} taken {sig} .",
-]
-_MED_PROBLEM_SYMPTOM = [
-    "{medication} was given for {problem} but caused {symptom} .",
-    "the patient is on {medication} for {problem} and developed {symptom} .",
-    "{medication} , prescribed to control {problem} , was linked to {symptom} .",
-]
-_TREAT_PROBLEM_SYMPTOM = [
-    "{treatment} administered to treat {problem} improved the {symptom} .",
-    "after {treatment} for {problem} the patient's {symptom} resolved .",
-    "{treatment} , provided in response to {problem} , helped the {symptom} .",
-]
-
-SENTENCE_TEMPLATES = {
-    "dosage": _MED_DOSE_SIG,
-    "sig": _MED_DOSE_SIG,
-    "adverse": _MED_PROBLEM_SYMPTOM,
-    "med_for": _MED_PROBLEM_SYMPTOM,
-    "proc_for": [
-        "{treatment} was conducted for {problem} .",
-        "the patient underwent {treatment} for evaluation of {problem} .",
-        "{treatment} was ordered because of {problem} .",
-    ],
-    "care_plan": [
-        "for {problem} the plan is to continue {treatment} .",
-        "{problem} will be managed with {treatment} .",
-        "the team decided to treat {problem} with {treatment} .",
-    ],
-    "med_current": [
-        "for {problem} the patient remains on {medication} .",
-        "ongoing {problem} is controlled with {medication} .",
-        "{medication} continues to be taken for the patient's {problem} .",
-    ],
-    "treat_for": _TREAT_PROBLEM_SYMPTOM,
-    "treat_effect": _TREAT_PROBLEM_SYMPTOM,
+# Each value source: its pool and the note's used-surface set that a draw
+# avoids where it can (None: draws ignore it). Fact slots name a source in
+# their form's `draws`; a distractor placeholder names its own.
+SOURCES = {
+    "medication": (MEDICATIONS, "med"),
+    "condition": (CONDITIONS, "prob"),
+    "symptom": (SYMPTOMS, "prob"),
+    "procedure": (PROCEDURES, "proc"),
+    "dose": (DOSAGES, None),
+    "sig": (SIGS, None),
 }
 
 DISTRACTOR_TEMPLATES = [
@@ -212,7 +318,7 @@ DISTRACTOR_TEMPLATES = [
 
 
 # ---------------------------------------------------------------------------
-# Question templates: eight paraphrases per logical form.
+# Question templates: the paraphrases of each logical form.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -223,113 +329,15 @@ class QuestionTemplate:
 
     @property
     def slot(self) -> str:
-        m = re.search(r"\|([^|]+)\|", self.pattern)
-        return m.group(1)
+        return _MARKER_RE.search(self.pattern).group(1)
 
     def fill(self, value: str) -> str:
         return self.pattern.replace(f"|{self.slot}|", value)
 
 
-_QUESTION_PATTERNS = {
-    0: [
-        "what is the dosage of |medication| ?",
-        "what dose of |medication| does the patient take ?",
-        "how much |medication| does the patient take per day ?",
-        "what is the current dose of |medication| ?",
-        "what was the dosage prescribed of |medication| ?",
-        "what amount of |medication| is the patient on ?",
-        "at what strength is |medication| given ?",
-        "how many milligrams of |medication| are prescribed ?",
-    ],
-    1: [
-        "how often does the patient take |medication| ?",
-        "what is the sig of |medication| ?",
-        "when should the patient take |medication| ?",
-        "what is the dosing schedule for |medication| ?",
-        "how frequently is |medication| taken ?",
-        "what are the instructions for taking |medication| ?",
-        "on what schedule is |medication| administered ?",
-        "how is the patient supposed to take |medication| ?",
-    ],
-    2: [
-        "what adverse reaction did |medication| cause ?",
-        "what side effect did the patient have from |medication| ?",
-        "what reaction was attributed to |medication| ?",
-        "what symptom appeared after starting |medication| ?",
-        "what problem did |medication| lead to ?",
-        "what did |medication| cause ?",
-        "which complaint followed the start of |medication| ?",
-        "what adverse event is linked to |medication| ?",
-    ],
-    3: [
-        "why is the patient on |medication| ?",
-        "what is |medication| given for ?",
-        "what condition is treated with |medication| ?",
-        "for what reason was |medication| prescribed ?",
-        "what diagnosis led to |medication| ?",
-        "what is the indication for |medication| ?",
-        "why was |medication| started ?",
-        "what does |medication| treat in this patient ?",
-    ],
-    4: [
-        "why was |treatment| conducted ?",
-        "what was the reason for the |treatment| ?",
-        "what condition prompted the |treatment| ?",
-        "for what was the |treatment| performed ?",
-        "what was |treatment| done to evaluate ?",
-        "what finding led to the |treatment| ?",
-        "why did the patient undergo |treatment| ?",
-        "what is the indication for the |treatment| ?",
-    ],
-    5: [
-        "what is the plan for |problem| ?",
-        "how will |problem| be managed ?",
-        "what treatment is planned for |problem| ?",
-        "what is being done about |problem| ?",
-        "how is |problem| being addressed ?",
-        "what therapy was chosen for |problem| ?",
-        "what is the management strategy for |problem| ?",
-        "what will the patient receive for |problem| ?",
-    ],
-    6: [
-        "what medication is the patient on for |problem| ?",
-        "which drug controls the patient's |problem| ?",
-        "what does the patient take for |problem| ?",
-        "what is prescribed for the |problem| ?",
-        "which medication manages |problem| ?",
-        "what current medication addresses |problem| ?",
-        "what is the patient taking for |problem| ?",
-        "which agent is used for |problem| ?",
-    ],
-    7: [
-        "what was |treatment| administered for ?",
-        "what problem did |treatment| address ?",
-        "what was the |treatment| meant to treat ?",
-        "which condition was |treatment| given for ?",
-        "what was treated with |treatment| ?",
-        "what illness required |treatment| ?",
-        "what was the target of the |treatment| ?",
-        "for which complaint did the patient receive |treatment| ?",
-    ],
-    8: [
-        "what symptom did |treatment| improve ?",
-        "which complaint changed after |treatment| ?",
-        "what got better with |treatment| ?",
-        "what symptom responded to |treatment| ?",
-        "which symptom was affected by |treatment| ?",
-        "what complaint did the |treatment| help ?",
-        "which symptom did the |treatment| alter ?",
-        "what improved after the patient received |treatment| ?",
-    ],
-}
-
-
 def build_templates() -> list[QuestionTemplate]:
-    out = []
-    for lf_id, patterns in _QUESTION_PATTERNS.items():
-        for j, pat in enumerate(patterns):
-            out.append(QuestionTemplate(f"lf{lf_id}_t{j}", lf_id, pat))
-    return out
+    return [QuestionTemplate(f"lf{lf.lf_id}_t{j}", lf.lf_id, pattern)
+            for lf in LOGICAL_FORMS for j, pattern in enumerate(lf.paraphrases)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +346,14 @@ def build_templates() -> list[QuestionTemplate]:
 
 @dataclass
 class Fact:
-    kind: str
+    lf_id: int
     slots: dict            # slot name -> surface form
     sentence_idx: int
     answer_char_span: tuple  # (start, end) within the realizing sentence
 
     @property
     def answer_text(self) -> str:
-        return self.slots[FACT_KINDS[self.kind][1]]
+        return self.slots[LOGICAL_FORMS[self.lf_id].answer_slot]
 
 
 @dataclass
@@ -387,53 +395,32 @@ def _render(template: str, values: dict,
     return "".join(out), span, tags
 
 
-def _sample_entity(rng, pool, used: set) -> str:
-    """Draw from pool avoiding already-used surfaces where possible."""
-    free = [x for x in pool if x not in used]
+def _draw(rng, source: str, used: dict) -> str:
+    """A value from `source` (see `SOURCES`), avoiding the surfaces its
+    used set already holds where the pool has others. A "treatment" is a
+    medication or a procedure by a coin flip."""
+    if source == "treatment":
+        source = "medication" if rng.random() < 0.5 else "procedure"
+    pool, key = SOURCES[source]
+    if key is None:
+        return pool[rng.integers(len(pool))]
+    free = [x for x in pool if x not in used[key]]
     choices = free if free else pool
     pick = choices[rng.integers(len(choices))]
-    used.add(pick)
+    used[key].add(pick)
     return pick
 
 
-def _make_fact_values(kind: str, rng, used: dict) -> dict:
-    vals = {}
-    if kind in ("dosage", "sig", "adverse", "med_for"):
-        vals["medication"] = _sample_entity(rng, MEDICATIONS, used["med"])
-    if kind in ("dosage", "sig"):
-        vals["dose"] = DOSAGES[rng.integers(len(DOSAGES))]
-        vals["sig"] = SIGS[rng.integers(len(SIGS))]
-    if kind in ("adverse", "med_for", "treat_for", "treat_effect"):
-        vals["symptom"] = _sample_entity(rng, SYMPTOMS, used["prob"])
-    if kind in ("adverse", "med_for", "proc_for", "care_plan", "med_current",
-                "treat_for", "treat_effect"):
-        vals["problem"] = _sample_entity(rng, CONDITIONS, used["prob"])
-    if kind == "proc_for":
-        vals["treatment"] = _sample_entity(rng, PROCEDURES, used["proc"])
-    if kind in ("care_plan", "treat_for", "treat_effect"):
-        if rng.random() < 0.5:
-            vals["treatment"] = _sample_entity(rng, MEDICATIONS, used["med"])
-        else:
-            vals["treatment"] = _sample_entity(rng, PROCEDURES, used["proc"])
-    if kind == "med_current":
-        vals["medication"] = _sample_entity(rng, MEDICATIONS, used["med"])
-    return vals
+# each distractor template split around its one placeholder, parsed once
+_DISTRACTORS = [re.fullmatch(r"(.*)\{([a-z_]+)\}(.*)", t).groups()
+                for t in DISTRACTOR_TEMPLATES]
 
 
 def _make_distractor(rng, used: dict) -> tuple[str, list]:
     """A sentence that answers no question, and its tags."""
-    tpl = DISTRACTOR_TEMPLATES[rng.integers(len(DISTRACTOR_TEMPLATES))]
-    vals = {}
-    if "{condition}" in tpl:
-        vals["condition"] = _sample_entity(rng, CONDITIONS, used["prob"])
-    if "{medication}" in tpl:
-        vals["medication"] = _sample_entity(rng, MEDICATIONS, used["med"])
-    if "{symptom}" in tpl:
-        vals["symptom"] = _sample_entity(rng, SYMPTOMS, used["prob"])
-    if "{procedure}" in tpl:
-        vals["procedure"] = _sample_entity(rng, PROCEDURES, used["proc"])
-    sent, _, tags = _render(tpl, vals, answer_key="__none__")
-    return sent, tags
+    before, slot, after = _DISTRACTORS[rng.integers(len(_DISTRACTORS))]
+    value = _draw(rng, slot, used)
+    return before + value + after, _tags_for(value, len(before))
 
 
 def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
@@ -451,21 +438,19 @@ def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
         raise ConfigurationError("facts_per_note must be >= 1")
     if not 0.0 <= distractor_rate < 1.0:
         raise ConfigurationError("distractor_rate must be in [0, 1)")
-    if not (MEDICATIONS and CONDITIONS and SYMPTOMS and PROCEDURES):
-        raise ConfigurationError("empty slot vocabulary")
     rng = np.random.default_rng(seed)
     notes = []
     for note_id in range(num_notes):
         used = {"med": set(), "prob": set(), "proc": set()}
-        kinds = [KIND_ORDER[rng.integers(len(KIND_ORDER))]
+        forms = [LOGICAL_FORMS[rng.integers(NUM_LF)]
                  for _ in range(facts_per_note)]
         rendered = []
-        for kind in kinds:
-            vals = _make_fact_values(kind, rng, used)
-            tpls = SENTENCE_TEMPLATES[kind]
-            tpl = tpls[rng.integers(len(tpls))]
-            rendered.append((kind, vals,
-                             *_render(tpl, vals, FACT_KINDS[kind][1])))
+        for lf in forms:
+            vals = {slot: _draw(rng, source, used)
+                    for slot, source in lf.draws.items()}
+            tpl = lf.sentences[rng.integers(len(lf.sentences))]
+            rendered.append((lf.lf_id, vals,
+                             *_render(tpl, vals, lf.answer_slot)))
         if distractor_rate > 0:
             n_trials = max(1, round(2 * facts_per_note * distractor_rate
                                     / (1 - distractor_rate)))
@@ -479,9 +464,9 @@ def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
         placed = {old: new for new, old in enumerate(order)}
         sentences = [tagged[old][0] for old in order]
         tags = [tagged[old][1] for old in order]
-        facts = [Fact(kind=kind, slots=vals, sentence_idx=placed[i],
+        facts = [Fact(lf_id=lf_id, slots=vals, sentence_idx=placed[i],
                       answer_char_span=span)
-                 for i, (kind, vals, _, span, _) in enumerate(rendered)]
+                 for i, (lf_id, vals, _, span, _) in enumerate(rendered)]
         facts.sort(key=lambda f: f.sentence_idx)
         notes.append(Note(note_id=note_id, sentences=sentences, facts=facts,
                           tags=tags))
@@ -597,7 +582,7 @@ class QAExample:
 
 def instantiate_questions(notes: list[Note],
                           templates: list[QuestionTemplate]) -> list[QAExample]:
-    """Sentence-setting examples: one per (fact, compatible template)."""
+    """Sentence-setting examples: one per (fact, template of its form)."""
     by_lf: dict[int, list[QuestionTemplate]] = {}
     for t in templates:
         by_lf.setdefault(t.lf_id, []).append(t)
@@ -607,23 +592,20 @@ def instantiate_questions(notes: list[Note],
     examples = []
     for note in notes:
         for fi, fact in enumerate(note.facts):
-            lf_id = KIND_TO_LF[fact.kind]
-            slot_name, _ = FACT_KINDS[fact.kind]
-            slot_value = fact.slots.get(slot_name)
+            slot = LOGICAL_FORMS[fact.lf_id].question_slot
+            slot_value = fact.slots[slot]
             sentence = note.sentences[fact.sentence_idx]
             sentence_tags = note.tags[fact.sentence_idx]
-            for tpl in by_lf[lf_id]:
-                if tpl.slot != slot_name or slot_value is None:
-                    continue
+            for tpl in by_lf[fact.lf_id]:
                 question = tpl.fill(slot_value)
-                marker = tpl.pattern.index(f"|{slot_name}|")
+                marker = tpl.pattern.index(f"|{slot}|")
                 cs, ce = fact.answer_char_span
                 ex = QAExample(
                     id=f"n{note.note_id}-f{fi}-{tpl.template_id}",
                     note_id=note.note_id,
                     question=question,
                     question_template_id=tpl.template_id,
-                    lf_id=lf_id,
+                    lf_id=fact.lf_id,
                     context_sentences=[sentence],
                     evidence_idx=0,
                     answer={"sentence_index": 0, "char_start": cs,

@@ -45,8 +45,11 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("vocab_size", "hidden_dim", "layers", "heads",
-                     "entity_dim", "max_seq_len", "max_answer_len"):
+                     "entity_dim", "entity_heads", "max_seq_len",
+                     "max_answer_len", "ffn_mult"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.hidden_dim % self.heads:

@@ -39,6 +39,11 @@ class TrainConfig:
     system: str = "multitask"
 
     def __post_init__(self):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("patience", 1),
+                          ("lr", 0), ("weight_decay", 0)):
+            if getattr(self, name) < low:
+                raise TrainError(f"{name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise TrainError("warmup_frac must be in [0, 1)")
         if self.system not in SYSTEMS:

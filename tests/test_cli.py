@@ -267,8 +267,7 @@ class TestTrainEval:
                      "--vocab", str(data / "vocab.txt"),
                      "--split", str(split), "--system", "baseline",
                      "--set", "model.hidden_dim=16", "--set", "model.layers=1",
-                     "--set", "model.heads=2", "--set", "model.entity_dim=8",
-                     "--set", "model.max_seq_len=48",
+                     "--set", "model.heads=2", "--set", "model.max_seq_len=48",
                      "--set", "model.ffn_mult=2", "--set", "train.epochs=1",
                      "--set", "train.batch_size=32",
                      "--out", str(run)]) == 0
@@ -615,15 +614,26 @@ def test_system_keys_refused(workspace, tmp_path, capsys, monkeypatch,
     assert key in err and DECIDED_BY[key][command] in err
 
 
-@pytest.mark.parametrize("system", ["baseline", "fused"])
+@pytest.mark.parametrize("system,key", [
+    pytest.param("baseline", "model.omega", id="baseline"),
+    pytest.param("fused", "model.omega", id="fused"),
+    pytest.param("baseline", "model.entity_dim", id="baseline-entity_dim"),
+    pytest.param("baseline", "model.entity_heads", id="baseline-entity_heads"),
+    pytest.param("baseline", "model.entity_attention_layers",
+                 id="baseline-entity_attention_layers"),
+    pytest.param("evidence", "model.max_answer_len",
+                 id="evidence-max_answer_len"),
+])
 @pytest.mark.parametrize("source", ["set", "config"])
 def test_omega_refused_where_the_system_zeroes_it(
-        workspace, tmp_path, capsys, monkeypatch, system, source):
+        workspace, tmp_path, capsys, monkeypatch, system, key, source):
+    # the system zeroes omega, or never reads the key; run-matrix accepts
+    # them all, since some row reads each
     _no_training(monkeypatch)
     args = _training_args(workspace, tmp_path, "train", system)
-    assert main(args + _setting(tmp_path, source, "model.omega", 0.5)) == 2
+    assert main(args + _setting(tmp_path, source, key, FIELD_VALUES[key])) == 2
     err = capsys.readouterr().err
-    assert "model.omega" in err and f"--system {system}" in err
+    assert key in err and f"--system {system}" in err
 
 
 @pytest.mark.parametrize("command", ["train", "run-matrix"])
@@ -660,6 +670,20 @@ def test_mistyped_value_exits_2(workspace, tmp_path, capsys, monkeypatch,
     args = _training_args(workspace, tmp_path, "run-matrix")
     assert main(args + _setting(tmp_path, "set", key, value)) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "run-matrix"])
+@pytest.mark.parametrize("key,value", [
+    ("train.epochs", 0), ("train.batch_size", 0), ("train.patience", 0),
+    ("train.lr", -1e-3), ("train.weight_decay", -1.0),
+    ("model.dropout", 1.0), ("model.dropout", -0.5),
+    ("model.entity_heads", 0), ("model.ffn_mult", 0), ("model.ffn_mult", -1)])
+def test_out_of_range_value_exits_2(workspace, tmp_path, capsys, monkeypatch,
+                                    command, key, value):
+    _no_training(monkeypatch)
+    args = _training_args(workspace, tmp_path, command)
+    assert main(args + _setting(tmp_path, "set", key, value)) == 2
+    assert key.partition(".")[2] in capsys.readouterr().err
 
 
 # a valid value other than the default for every settable field

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -60,8 +62,8 @@ class TestLfTokenize:
         assert lf_tokenize("") == Counter()
 
     def test_shared_tokens_across_forms(self):
-        a = lf_tokenize(C.LF_STRINGS[0])
-        b = lf_tokenize(C.LF_STRINGS[1])
+        a = C.LOGICAL_FORMS[0].lf_tokens
+        b = C.LOGICAL_FORMS[1].lf_tokens
         assert (a & b)["MedicationEvent"] == 1
 
     def test_nested_form(self):
@@ -86,11 +88,21 @@ class TestTemplates:
         assert min(by_lf.values()) >= 6
 
     def test_slots_are_consistent_with_lf(self):
-        slot_for_lf = {0: "medication", 1: "medication", 2: "medication",
-                       3: "medication", 4: "treatment", 5: "problem",
-                       6: "problem", 7: "treatment", 8: "treatment"}
+        # every |slot| marker of a form, in its LF string and in each of
+        # its paraphrases, names the one slot its questions ask about
         for t in build_templates():
-            assert t.slot == slot_for_lf[t.lf_id]
+            lf = C.LOGICAL_FORMS[t.lf_id]
+            assert set(re.findall(r"\|([^|]+)\|", lf.lf_string)) == {t.slot}
+            assert re.findall(r"\|([^|]+)\|", t.pattern) == [t.slot]
+
+    def test_forms_draw_what_their_sentences_place(self):
+        for i, lf in enumerate(C.LOGICAL_FORMS):
+            assert lf.lf_id == i
+            assert {lf.question_slot, lf.answer_slot} <= set(lf.draws)
+            assert set(lf.draws.values()) <= set(C.SOURCES) | {"treatment"}
+            for sentence in lf.sentences:
+                assert sorted(re.findall(r"\{(\w+)\}", sentence)) == \
+                    sorted(lf.draws)
 
     def test_fill(self):
         tpl = next(t for t in build_templates()
@@ -258,6 +270,37 @@ class TestDatasetIO:
         it = read_dataset(path)
         first = next(it)
         assert first.id == examples[0].id  # lazily yields without full load
+
+
+# sha256 of write_dataset's output, as gen-data builds it: (seed, notes,
+# facts per note, distractor rate, setting) -> digest. A refactor of the
+# generator must keep these bytes. They depend on numpy's Generator
+# streams (numpy 2.4.6); a numpy that changes those streams changes them.
+CORPUS_DIGESTS = {
+    (0, 6, 6, 0.4, "sentence"):
+        "7ff78ffe5aad1f68a51652d6abf68a546d41905c35b101247bd6ebfb68232a71",
+    (0, 6, 6, 0.4, "paragraph"):
+        "d80ef0ab90a9d24245d71b0efe17f14ca263ebde149a661a6c612c4f98e700d3",
+    (3, 5, 2, 0.7, "paragraph"):
+        "80af8194239ae98218b318bf7678f95ab62b5251660692b73953951d0a771548",
+}
+
+
+@pytest.mark.parametrize("settings", list(CORPUS_DIGESTS))
+def test_corpus_bytes_are_pinned(tmp_path, settings):
+    seed, num_notes, facts, rate, setting = settings
+    notes = generate_corpus(seed=seed, num_notes=num_notes,
+                            facts_per_note=facts, distractor_rate=rate)
+    examples = instantiate_questions(notes, build_templates())
+    if setting == "paragraph":
+        by_id = {n.note_id: n for n in notes}
+        rng = np.random.default_rng(seed + 1)
+        examples = [build_paragraph_context(ex, by_id[ex.note_id], rng)
+                    for ex in examples]
+    path = tmp_path / "corpus.jsonl"
+    write_dataset(examples, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == CORPUS_DIGESTS[settings]
 
 
 RECORD = {

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -145,8 +146,10 @@ class TestLfExact:
 
 class TestLfRelaxed:
     def test_hand_case(self, monkeypatch):
-        cls = type(LOGICAL_FORMS[0])
-        inventory = [cls(0, "Event (|x|) [a=b]"), cls(1, "Event (|x|) [c=b]")]
+        inventory = [dataclasses.replace(LOGICAL_FORMS[0], lf_id=0,
+                                         lf_string="Event (|x|) [a=b]"),
+                     dataclasses.replace(LOGICAL_FORMS[1], lf_id=1,
+                                         lf_string="Event (|x|) [c=b]")]
         monkeypatch.setattr(M, "LOGICAL_FORMS", inventory)
         # both forms tokenize to 4 tokens sharing 3: P=R=F1=0.75
         prf = lf_relaxed_scores([0], [1])

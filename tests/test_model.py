@@ -47,6 +47,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=10, omega=1.5)
 
+    @pytest.mark.parametrize("name,value", [
+        ("dropout", 1.0), ("dropout", -0.5), ("entity_heads", 0),
+        ("ffn_mult", 0), ("ffn_mult", -1)])
+    def test_out_of_range_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(vocab_size=10, **{name: value})
+
+    def test_range_edges_are_accepted(self):
+        ModelConfig(vocab_size=10, dropout=0.0, entity_heads=1,
+                    entity_dim=7, ffn_mult=1)
+
     def test_digest_stable_and_sensitive(self):
         a = ModelConfig(vocab_size=10)
         b = ModelConfig(vocab_size=10)

@@ -80,6 +80,19 @@ class TestSchedule:
             lr_at(11, 10, self._config())
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("patience", 0),
+        ("lr", -1e-4), ("weight_decay", -1e-5)])
+    def test_out_of_range_is_refused(self, name, value):
+        with pytest.raises(TrainError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_range_edges_are_accepted(self):
+        TrainConfig(epochs=1, batch_size=1, patience=1, lr=0.0,
+                    weight_decay=0.0)
+
+
 class TestApplySystem:
     def test_baseline_disables_entities_and_lf(self):
         cfg = apply_system(ModelConfig(vocab_size=10), "baseline")
