@@ -11,6 +11,7 @@ leaves the previous file in place.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -49,10 +50,13 @@ def _write_bytes(fh, blob: bytes):
 
 
 def _read_exact(fh, n: int) -> bytes:
-    blob = fh.read(n)
-    if len(blob) != n:
-        raise CheckpointError("truncated checkpoint file")
-    return blob
+    """The next `n` bytes; a length past the end of the file is refused
+    before anything is read, so a corrupt header allocates nothing."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointError(f"{fh.name}: truncated checkpoint file: "
+                              f"{n} bytes wanted, {left} left")
+    return fh.read(n)
 
 
 def _read_bytes(fh) -> bytes:
@@ -60,12 +64,12 @@ def _read_bytes(fh) -> bytes:
     return _read_exact(fh, n)
 
 
-def _read_text(fh, path) -> str:
+def _read_text(fh) -> str:
     try:
         return _read_bytes(fh).decode()
     except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: a digest or parameter name is not "
-                              f"UTF-8: {exc}") from exc
+        raise CheckpointError(f"{fh.name}: a digest or parameter name is "
+                              f"not UTF-8: {exc}") from exc
 
 
 def save_checkpoint(path, params: dict[str, Tensor], config_digest: str):
@@ -90,15 +94,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        digest = _read_text(fh, path)
+        digest = _read_text(fh)
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         arrays = {}
         for _ in range(count):
-            name = _read_text(fh, path)
+            name = _read_text(fh)
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            payload = _read_exact(fh, 4 * size)
+            payload = _read_exact(fh, 4 * math.prod(shape))
             arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape) \
                 .astype(np.float64)
         if fh.read(1):

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -55,17 +56,17 @@ class CliError(Exception):
 # Settings: dotted model.<field> / train.<field> keys.
 # ---------------------------------------------------------------------------
 
-_BY_SYSTEM = "the system (--system on train, each row on run-matrix)"
 _TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
-def resolve_configs(args, vocab: Vocab, decided: dict,
+def resolve_configs(args, vocab: Vocab, systems, decided: dict,
                     **train) -> tuple[ModelConfig, TrainConfig]:
     """The configs a command trains with: --config's JSON object, then each
     --set key=value (JSON, else a string), over `train` and the vocabulary
-    size. A key is accepted only if the command uses its value: an unknown
-    key, a mistyped value or a key in `decided` (key -> what decides it;
-    always the system's keys) exits 2 naming it. Configs check ranges."""
+    size. A key the command does not use exits 2 naming it: an unknown or
+    mistyped one, one in `decided` (key -> what decides it), or one every
+    system in `systems` fixes or has no use for (trainer.SYSTEMS). Configs
+    check ranges, and each system checks the model config (apply_system)."""
     settings = {}
     if args.config:
         try:
@@ -81,8 +82,16 @@ def resolve_configs(args, vocab: Vocab, decided: dict,
         with contextlib.suppress(json.JSONDecodeError):
             raw = json.loads(raw)
         settings[key.strip()] = raw
-    decided = {"model.vocab_size": "--vocab", "model.mode": _BY_SYSTEM,
-               "model.use_entities": _BY_SYSTEM, **decided}
+    who = (f"--system {systems[0]}" if len(systems) == 1 else "every "
+           f"run-matrix row (--system {', '.join(dict.fromkeys(systems))})")
+    decided = {key: f"{by} decides it" for key, by in
+               {"model.vocab_size": "--vocab", **decided}.items()}
+    for f in dataclasses.fields(ModelConfig):
+        uses = {"fixes it" if f.name in fixes else
+                "has no use for it" if f.name in unused else None
+                for fixes, unused in map(tr.SYSTEMS.get, systems)}
+        if None not in uses:
+            decided[f"model.{f.name}"] = f"{who} {' or '.join(sorted(uses))}"
     chosen = {"model": {"vocab_size": len(vocab)}, "train": train}
     for key, value in settings.items():
         scope, _, name = key.partition(".")
@@ -94,11 +103,14 @@ def resolve_configs(args, vocab: Vocab, decided: dict,
         if name not in types:
             raise CliError(f"unknown {scope} config key {name!r}")
         if key in decided:
-            raise CliError(f"{key} cannot be set: {decided[key]} decides it")
+            raise CliError(f"{key} cannot be set: {decided[key]}")
         if type(value) not in _TYPES[types[name]]:
             raise CliError(f"{key} must be {types[name]}, got {value!r}")
         chosen[scope][name] = value
-    return ModelConfig(**chosen["model"]), TrainConfig(**chosen["train"])
+    model_config = ModelConfig(**chosen["model"])
+    for system in systems:
+        tr.apply_system(model_config, system)
+    return model_config, TrainConfig(**chosen["train"])
 
 
 def _git_describe() -> str:
@@ -194,40 +206,31 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _encode(examples, split: str, mode: str, vocab, max_seq_len: int,
-            seed: int):
+def _encode(examples, split: str, config: ModelConfig, vocab, seed: int):
     """Span pairs, or evidence pairs whose negatives come from a stream
     keyed on (seed, split), so `train` and `eval` draw the same pairs."""
-    if mode == "evidence":
+    L = config.max_seq_len
+    if config.mode == "evidence":
         rng = np.random.default_rng([seed, SPLITS.index(split)])
         return tr.encode_evidence_examples(
-            tr.make_evidence_examples(examples, rng), vocab, max_seq_len)[0]
-    return tr.encode_examples(examples, vocab, max_seq_len)
+            tr.make_evidence_examples(examples, rng), vocab, L)[0]
+    return tr.encode_examples(examples, vocab, L)
 
 
 def cmd_train(args) -> int:
     examples = list(read_dataset(args.data))
     vocab = Vocab.load(args.vocab)
-    decided = {"train.system": "--system", "train.seed": "--seed"}
-    if args.system in ("baseline", "fused"):
-        decided["model.omega"] = f"--system {args.system} (omega = 0)"
-    if args.system == "baseline":
-        decided.update(dict.fromkeys(
-            ("model.entity_dim", "model.entity_heads",
-             "model.entity_attention_layers"),
-            "--system baseline (no entity encoder)"))
-    if args.system == "evidence":
-        decided["model.max_answer_len"] = "--system evidence (no span decoding)"
     model_config, train_config = resolve_configs(
-        args, vocab, decided, system=args.system, seed=args.seed)
+        args, vocab, [args.system],
+        {"train.system": "--system", "train.seed": "--seed"},
+        system=args.system, seed=args.seed)
     train_ex, val_ex, _ = filter_examples(
         examples, SplitAssignment.load(args.split))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    mode = "evidence" if train_config.system == "evidence" else "span"
-    L, seed = model_config.max_seq_len, train_config.seed
-    train_pairs = _encode(train_ex, "train", mode, vocab, L, seed)
-    val_pairs = _encode(val_ex, "val", mode, vocab, L, seed)
+    config = tr.apply_system(model_config, args.system)
+    train_pairs = _encode(train_ex, "train", config, vocab, args.seed)
+    val_pairs = _encode(val_ex, "val", config, vocab, args.seed)
     result = tr.train(train_pairs, val_pairs, model_config, train_config,
                       log_path=out / "train_log.jsonl")
     result.model_config.save(out / "model_config.json")
@@ -284,8 +287,7 @@ def cmd_eval(args) -> int:
     seed = _run_seed(run_dir) if args.seed is None else args.seed
     parts = dict(zip(SPLITS, filter_examples(
         examples, SplitAssignment.load(args.split))))
-    pairs = _encode(parts[args.subset], args.subset, config.mode, vocab,
-                    config.max_seq_len, seed)
+    pairs = _encode(parts[args.subset], args.subset, config, vocab, seed)
     report = tr.evaluate_pairs(params, config, pairs)
     if args.out:
         out = Path(args.out)
@@ -300,6 +302,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be at least 1, got {args.seeds}")
+    if not 0 < args.tolerance < math.inf:
+        raise CliError(f"--tolerance must be finite and > 0, got "
+                       f"{args.tolerance}")
     worst_name, worst = None, 0.0
     for seed in range(args.seeds):
         errors = mdl.fragment_gradchecks(seed=seed)
@@ -322,8 +329,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_run_matrix(args) -> int:
     examples = list(read_dataset(args.data))
     vocab = Vocab.load(args.vocab)
-    model_config, train_config = resolve_configs(args, vocab, {
-        "train.system": "each run-matrix row", "train.seed": "--seeds"})
+    model_config, train_config = resolve_configs(
+        args, vocab, [system for system, _ in tr.MATRIX_ROWS],
+        {"train.system": "each run-matrix row", "train.seed": "--seeds"})
     note_ids = sorted({ex.note_id for ex in examples})
     notes = [SimpleNamespace(note_id=i) for i in note_ids]
     templates = build_templates()

@@ -13,14 +13,21 @@ import numpy as np
 
 from . import metrics as M
 from . import model as mdl
-from .checkpoint import atomic_write
+from .checkpoint import atomic_write, restore_params
 from .corpus import QAExample
 from .model import Batch, ModelConfig
 from .optim import AdamState, adam_step
 from .tensor import GradientError, Tensor
 from .textpipe import Vocab, encode_pair
 
-SYSTEMS = ("baseline", "fused", "multitask", "evidence")
+SYSTEMS = {  # system -> (ModelConfig values it fixes, fields it never uses)
+    "baseline": ({"use_entities": False, "mode": "span", "omega": 0.0},
+                 ("entity_dim", "entity_heads", "entity_attention_layers")),
+    "fused": ({"use_entities": True, "mode": "span", "omega": 0.0}, ()),
+    "multitask": ({"use_entities": True, "mode": "span"}, ()),
+    "evidence": ({"use_entities": True, "mode": "evidence"},
+                 ("max_answer_len",)),
+}
 
 
 class TrainError(ValueError):
@@ -51,18 +58,13 @@ class TrainConfig:
 
 
 def apply_system(config: ModelConfig, system: str) -> ModelConfig:
-    """Specialize a model config to one of the four experiment systems."""
-    if system == "baseline":
-        return replace(config, use_entities=False, omega=0.0, mode="span")
-    if system == "fused":
-        return replace(config, use_entities=True, omega=0.0, mode="span")
-    if system == "multitask":
-        if config.omega <= 0:
-            raise TrainError("multitask system requires omega > 0")
-        return replace(config, use_entities=True, mode="span")
-    if system == "evidence":
-        return replace(config, use_entities=True, mode="evidence")
-    raise TrainError(f"unknown system {system!r}")
+    """The values SYSTEMS fixes set on `config`; multitask needs omega > 0."""
+    if system not in SYSTEMS:
+        raise TrainError(f"unknown system {system!r}")
+    config = replace(config, **SYSTEMS[system][0])
+    if system == "multitask" and config.omega <= 0:
+        raise TrainError("multitask system requires omega > 0")
+    return config
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -74,8 +76,6 @@ def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
     warmup = config.warmup_frac * total_steps
     if warmup > 0 and step < warmup:
         return config.lr * step / warmup
-    if total_steps == warmup:
-        return config.lr
     return config.lr * (total_steps - step) / (total_steps - warmup)
 
 
@@ -167,11 +167,6 @@ def _copy_params(params):
     return {k: v.data.copy() for k, v in params.items()}
 
 
-def _restore(params, snapshot):
-    for k, v in params.items():
-        v.data = snapshot[k].copy()
-
-
 def train(train_pairs, val_pairs, model_config: ModelConfig,
           train_config: TrainConfig, log_path=None) -> TrainResult:
     """Train one system; keeps the best-validation parameter snapshot.
@@ -222,18 +217,18 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
                         out, batch.evidence_labels, batch.lf_ids,
                         omega=config.omega)
                 total = parts.total.item()
-                if not math.isfinite(total):
+                finite = math.isfinite(total)
+                if finite:
+                    for p in params.values():
+                        p.grad = None
+                    parts.total.backward()
+                    try:
+                        adam_step(params, state, lr=lr)
+                    except GradientError:  # a non-finite gradient
+                        finite = False
+                if not finite:
                     result.aborted = True
-                    _restore(params, best_snapshot)
-                    return result
-                for p in params.values():
-                    p.grad = None
-                parts.total.backward()
-                try:
-                    adam_step(params, state, lr=lr)
-                except GradientError:
-                    result.aborted = True
-                    _restore(params, best_snapshot)
+                    restore_params(params, best_snapshot)
                     return result
                 entry = {"step": step, "lr": lr, "L_span": parts.span,
                          "L_lf": parts.lf, "L_evidence": parts.evidence,
@@ -256,7 +251,7 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
     finally:
         if log_fh:
             log_fh.close()
-    _restore(params, best_snapshot)
+    restore_params(params, best_snapshot)
     return result
 
 
@@ -353,6 +348,9 @@ def run_matrix(splits_by_mode: dict, vocab: Vocab, model_config: ModelConfig,
     seeds = list(seeds)
     if len(seeds) < 3:
         raise TrainError("run_matrix needs at least 3 seeds")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise TrainError(f"run_matrix seed {seed} is repeated")
     encoded = {mode: [encode_examples(x, vocab, model_config.max_seq_len)
                       for x in split]
                for mode, split in splits_by_mode.items()}

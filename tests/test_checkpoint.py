@@ -1,3 +1,4 @@
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from entqa import cli
 from entqa import trainer as tr
-from entqa.checkpoint import (CheckpointError, load_checkpoint, restore_params,
-                              save_checkpoint)
+from entqa.checkpoint import (MAGIC, VERSION, CheckpointError, load_checkpoint,
+                              restore_params, save_checkpoint)
 from entqa.cli import write_manifest
 from entqa.corpus import (build_templates, generate_corpus,
                           instantiate_questions, write_dataset)
@@ -99,6 +100,23 @@ class TestValidation:
         save_checkpoint(path, params, "d")
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="after the last") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("name_len,dims", [
+        (1, (2 ** 23, 2 ** 23)), (1, (65536,) * 4), (1000, ())],
+        ids=["huge_dims", "overflowing_dims", "name_past_eof"])
+    def test_lengths_past_the_end_name_the_file(self, tmp_path, name_len,
+                                                dims):
+        # a header length past the end of the file is refused before it
+        # is read: 2^46 floats once ended in a MemoryError, and 2^64 in an
+        # int64 overflow that read nothing and failed to reshape
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            MAGIC + struct.pack("<II", VERSION, 1) + b"d"
+            + struct.pack("<II", 1, name_len) + b"w"
+            + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + bytes(64))
+        with pytest.raises(CheckpointError, match="truncated") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -418,6 +419,28 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(path) in err and named in err
 
+    def test_eval_checkpoint_dims_past_the_end_exit_3(self, workspace,
+                                                      tmp_path, capsys):
+        # 2^46 floats, read as the first record's size, once ended in a
+        # MemoryError traceback
+        import shutil
+        bad = tmp_path / "bad_run"
+        shutil.copytree(workspace / "run", bad)
+        path = bad / "model.ckpt"
+        blob = path.read_bytes()
+        # magic, version, a 64-byte digest, the count, the first name
+        (name_len,) = struct.unpack_from("<I", blob, 80)
+        at = 84 + name_len
+        (ndim,) = struct.unpack_from("<I", blob, at)
+        path.write_bytes(blob[:at] + struct.pack("<3I", 2, 2 ** 23, 2 ** 23)
+                         + blob[at + 4 + 4 * ndim:])
+        code = main(["eval", "--run", str(bad),
+                     "--data", str(workspace / "data" / "corpus.jsonl"),
+                     "--vocab", str(workspace / "data" / "vocab.txt"),
+                     "--split", str(workspace / "pl" / "split.json")])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+
     @pytest.mark.parametrize("change", [-5, 3], ids=["smaller", "larger"])
     def test_eval_vocab_size_mismatch_exits_3(self, workspace, tmp_path,
                                               capsys, change):
@@ -539,11 +562,13 @@ def _setting(tmp_path, source, key, value):
     return ["--config", str(config)]
 
 
+def _refused_before_training(*args, **kwargs):
+    raise AssertionError("a refused setting reached training")
+
+
 def _no_training(monkeypatch):
-    def trained(*args, **kwargs):
-        raise AssertionError("a refused setting reached training")
-    monkeypatch.setattr(tr, "train", trained)
-    monkeypatch.setattr(tr, "run_matrix", trained)
+    monkeypatch.setattr(tr, "train", _refused_before_training)
+    monkeypatch.setattr(tr, "run_matrix", _refused_before_training)
 
 
 # what decides each key a training command sets itself, as its message says
@@ -614,26 +639,55 @@ def test_system_keys_refused(workspace, tmp_path, capsys, monkeypatch,
     assert key in err and DECIDED_BY[key][command] in err
 
 
-@pytest.mark.parametrize("system,key", [
-    pytest.param("baseline", "model.omega", id="baseline"),
-    pytest.param("fused", "model.omega", id="fused"),
-    pytest.param("baseline", "model.entity_dim", id="baseline-entity_dim"),
-    pytest.param("baseline", "model.entity_heads", id="baseline-entity_heads"),
+@pytest.mark.parametrize("system,key,says", [
+    pytest.param("baseline", "model.omega", "fixes it", id="baseline"),
+    pytest.param("fused", "model.omega", "fixes it", id="fused"),
+    pytest.param("baseline", "model.entity_dim", "has no use for it",
+                 id="baseline-entity_dim"),
+    pytest.param("baseline", "model.entity_heads", "has no use for it",
+                 id="baseline-entity_heads"),
     pytest.param("baseline", "model.entity_attention_layers",
-                 id="baseline-entity_attention_layers"),
-    pytest.param("evidence", "model.max_answer_len",
+                 "has no use for it", id="baseline-entity_attention_layers"),
+    pytest.param("evidence", "model.max_answer_len", "has no use for it",
                  id="evidence-max_answer_len"),
 ])
 @pytest.mark.parametrize("source", ["set", "config"])
 def test_omega_refused_where_the_system_zeroes_it(
-        workspace, tmp_path, capsys, monkeypatch, system, key, source):
+        workspace, tmp_path, capsys, monkeypatch, system, key, says, source):
     # the system zeroes omega, or never reads the key; run-matrix accepts
     # them all, since some row reads each
     _no_training(monkeypatch)
     args = _training_args(workspace, tmp_path, "train", system)
     assert main(args + _setting(tmp_path, source, key, FIELD_VALUES[key])) == 2
     err = capsys.readouterr().err
-    assert key in err and f"--system {system}" in err
+    assert key in err and f"--system {system} {says}" in err
+
+
+def test_run_matrix_checks_every_row_before_training(
+        workspace, tmp_path, capsys, monkeypatch):
+    # omega = 0 suits the baseline and fused rows but not multitask's, so
+    # run-matrix refuses it before it trains any row
+    calls = []
+
+    def trained(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("run-matrix trained before refusing omega = 0")
+
+    monkeypatch.setattr(tr, "train", trained)
+    args = _training_args(workspace, tmp_path, "run-matrix")
+    assert main(args + ["--set", "model.omega=0"]) == 2
+    assert calls == []
+    assert "omega" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_matrix_refuses_repeated_seeds(workspace, tmp_path, capsys,
+                                           monkeypatch):
+    # a repeated seed would report one run's result as a mean over several
+    monkeypatch.setattr(tr, "train", _refused_before_training)
+    args = _training_args(workspace, tmp_path, "run-matrix")
+    assert main(args + ["--seeds", "3,1,3"]) == 2
+    assert "seed 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "run-matrix"])
@@ -700,10 +754,27 @@ FIELD_VALUES = {
 }
 
 
-@pytest.mark.parametrize("command", ["train", "run-matrix"])
+# the keys `train --system X` refuses besides DECIDED_BY's: those the
+# system fixes or has no use for
+SYSTEM_REFUSES = {
+    "baseline": {"model.omega", "model.entity_dim", "model.entity_heads",
+                 "model.entity_attention_layers"},
+    "fused": {"model.omega"},
+    "multitask": set(),
+    "evidence": {"model.max_answer_len"},
+}
+
+
+@pytest.mark.parametrize("command,system", [
+    pytest.param("train", "multitask", id="train"),
+    pytest.param("train", "baseline", id="train-baseline"),
+    pytest.param("train", "fused", id="train-fused"),
+    pytest.param("train", "evidence", id="train-evidence"),
+    pytest.param("run-matrix", None, id="run-matrix"),
+])
 @pytest.mark.parametrize("source", ["set", "config"])
 def test_every_setting_is_trained_with_or_exits_2(
-        workspace, tmp_path, capsys, monkeypatch, command, source):
+        workspace, tmp_path, capsys, monkeypatch, command, system, source):
     # each value either reaches the configs training runs with (after
     # apply_system; on run-matrix, in at least one row) or exits 2 naming
     # its key, and only the keys the command decides itself exit 2
@@ -739,7 +810,7 @@ def test_every_setting_is_trained_with_or_exits_2(
     for key, value in FIELD_VALUES.items():
         assert value != defaults[key], key
         rows.clear()
-        args = _training_args(workspace, tmp_path, command, "multitask")
+        args = _training_args(workspace, tmp_path, command, system)
         try:
             code = main(args + _setting(tmp_path, source, key, value))
         except Captured:
@@ -750,7 +821,7 @@ def test_every_setting_is_trained_with_or_exits_2(
         assert code == 2, key
         assert key in capsys.readouterr().err, key
         refused.add(key)
-    assert refused == set(DECIDED_BY)
+    assert refused == set(DECIDED_BY).union(SYSTEM_REFUSES.get(system, ()))
 
 
 class TestGradcheck:
@@ -763,6 +834,19 @@ class TestGradcheck:
     def test_impossible_tolerance_exits_4(self, capsys):
         assert main(["gradcheck", "--seeds", "1",
                      "--tolerance", "1e-18"]) == 4
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--seeds", "0"], "--seeds"), (["--seeds", "-3"], "--seeds"),
+        (["--seeds", "1", "--tolerance", "nan"], "--tolerance"),
+        (["--seeds", "1", "--tolerance", "inf"], "--tolerance"),
+        (["--seeds", "1", "--tolerance", "0"], "--tolerance"),
+        (["--seeds", "1", "--tolerance", "-0.001"], "--tolerance")],
+        ids=["no_seeds", "negative_seeds", "nan", "inf", "zero", "negative"])
+    def test_check_that_cannot_fail_exits_2(self, capsys, flags, named):
+        # no seeds check nothing, and no error exceeds a NaN or infinite
+        # tolerance, so the check would pass vacuously
+        assert main(["gradcheck", *flags]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestLfTokenize:

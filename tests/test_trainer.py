@@ -227,6 +227,41 @@ class TestTrainLoop:
         steps = {e["step"] for e in result.log}
         assert len(steps) < 8 * 2  # fewer than epochs * steps_per_epoch
 
+    @pytest.mark.parametrize("fault", ["loss", "gradient"])
+    def test_non_finite_step_aborts_to_the_best_snapshot(self, monkeypatch,
+                                                         fault):
+        # step 2 of epoch 1 is non-finite, before any validation: training
+        # stops there and keeps the initial parameters, undoing step 1 (step
+        # 0 runs at lr 0) and a partly applied Adam update
+        loss, step = mdl.multitask_loss, tr.adam_step
+
+        def nan_loss(*args, **kwargs):
+            parts = loss(*args, **kwargs)
+            if len(calls) == 2:
+                parts = replace(parts, total=parts.total * float("nan"))
+            calls.append(fault)
+            return parts
+
+        def nan_gradient(params, state, lr):
+            if len(calls) == 2:
+                last = list(params.values())[-1]  # updated after the rest
+                last.grad = np.full_like(last.data, np.nan)
+            calls.append(fault)
+            return step(params, state, lr=lr)
+
+        calls = []
+        if fault == "loss":
+            monkeypatch.setattr(mdl, "multitask_loss", nan_loss)
+        else:
+            monkeypatch.setattr(tr, "adam_step", nan_gradient)
+        result = self._run(seed=4, batch_size=4)
+        assert result.aborted and len(calls) == 3
+        assert [e["step"] for e in result.log] == [0, 1]
+        assert result.best_val_f1 == float("-inf")
+        initial = mdl.init_params(result.model_config, 4)
+        for name, p in result.params.items():
+            np.testing.assert_array_equal(p.data, initial[name].data)
+
     def test_empty_split_rejected(self):
         examples, vocab = tiny_dataset()
         pairs = encode_examples(examples, vocab, 48)
