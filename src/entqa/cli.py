@@ -16,7 +16,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -114,10 +113,12 @@ def resolve_configs(args, vocab: Vocab, systems, decided: dict,
 
 
 def _git_describe() -> str:
+    """The commit of the entqa source, wherever the command runs from."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10)
+            capture_output=True, text=True, timeout=10,
+            cwd=Path(__file__).resolve().parent)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:
@@ -180,12 +181,17 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _assign(examples, mode: str, **split) -> SplitAssignment:
+    """An assignment of the corpus's notes and every paraphrase template;
+    one example of each note stands for the note."""
+    notes = {ex.note_id: ex for ex in examples}.values()
+    return make_assignment(notes, build_templates(), mode, **split)
+
+
 def cmd_split(args) -> int:
     examples = list(read_dataset(args.data))
-    note_ids = sorted({ex.note_id for ex in examples})
-    notes = [SimpleNamespace(note_id=i) for i in note_ids]
-    assignment = make_assignment(notes, build_templates(), args.mode,
-                                 seed=args.seed, train_frac=args.train_frac)
+    assignment = _assign(examples, args.mode, seed=args.seed,
+                         train_frac=args.train_frac)
     train, val, test = filter_examples(examples, assignment)
     audit = leakage_audit(train, val + test, assignment)
     out = Path(args.out)
@@ -206,32 +212,41 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _encode(examples, split: str, config: ModelConfig, vocab, seed: int):
-    """Span pairs, or evidence pairs whose negatives come from a stream
-    keyed on (seed, split), so `train` and `eval` draw the same pairs."""
-    L = config.max_seq_len
-    if config.mode == "evidence":
-        rng = np.random.default_rng([seed, SPLITS.index(split)])
-        return tr.encode_evidence_examples(
-            tr.make_evidence_examples(examples, rng), vocab, L)[0]
-    return tr.encode_examples(examples, vocab, L)
+def _read_splits(args, check):
+    """Read --data, --vocab and --split in that order, calling check(vocab)
+    before the split file. Returns check's result, the split file's seed
+    and pairs(split, config), a split's encoded pairs. Evidence negatives
+    come from a stream keyed on (the split file's seed, the split), so the
+    split file fixes every split's pairs for every training seed and for
+    `eval`."""
+    examples = list(read_dataset(args.data))
+    vocab = Vocab.load(args.vocab)
+    checked = check(vocab)
+    assignment = SplitAssignment.load(args.split)
+    parts = dict(zip(SPLITS, filter_examples(examples, assignment)))
+
+    def pairs(split: str, config: ModelConfig):
+        L = config.max_seq_len
+        if config.mode == "evidence":
+            rng = np.random.default_rng([assignment.seed,
+                                         SPLITS.index(split)])
+            return tr.encode_evidence_examples(
+                tr.make_evidence_examples(parts[split], rng), vocab, L)[0]
+        return tr.encode_examples(parts[split], vocab, L)
+    return checked, assignment.seed, pairs
 
 
 def cmd_train(args) -> int:
-    examples = list(read_dataset(args.data))
-    vocab = Vocab.load(args.vocab)
-    model_config, train_config = resolve_configs(
-        args, vocab, [args.system],
-        {"train.system": "--system", "train.seed": "--seed"},
-        system=args.system, seed=args.seed)
-    train_ex, val_ex, _ = filter_examples(
-        examples, SplitAssignment.load(args.split))
+    (model_config, train_config), _, pairs = _read_splits(
+        args, lambda vocab: resolve_configs(
+            args, vocab, [args.system],
+            {"train.system": "--system", "train.seed": "--seed"},
+            system=args.system, seed=args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = tr.apply_system(model_config, args.system)
-    train_pairs = _encode(train_ex, "train", config, vocab, args.seed)
-    val_pairs = _encode(val_ex, "val", config, vocab, args.seed)
-    result = tr.train(train_pairs, val_pairs, model_config, train_config,
+    result = tr.train(pairs("train", config), pairs("val", config),
+                      model_config, train_config,
                       log_path=out / "train_log.jsonl")
     result.model_config.save(out / "model_config.json")
     save_checkpoint(out / "model.ckpt", result.params,
@@ -252,22 +267,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _run_seed(run_dir: Path) -> int:
-    """The training seed `train` wrote to the run's manifest."""
-    path = run_dir / "manifest.json"
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read the run's seed from {path}: {exc}",
-                       EXIT_INTEGRITY)
-    seed = manifest.get("seed") if isinstance(manifest, dict) else None
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise CliError(f"{path}: field 'seed' must be an integer, got "
-                       f"{seed!r}; pass --seed", EXIT_INTEGRITY)
-    return seed
-
-
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     config = ModelConfig.load(run_dir / "model_config.json")
@@ -278,17 +277,15 @@ def cmd_eval(args) -> int:
             f"{digest}, config is {config.digest()}", EXIT_INTEGRITY)
     params = mdl.init_params(config, seed=0)
     restore_params(params, arrays)
-    examples = list(read_dataset(args.data))
-    vocab = Vocab.load(args.vocab)
-    if len(vocab) != config.vocab_size:
-        raise CliError(
-            f"vocabulary {args.vocab} holds {len(vocab)} tokens, but the "
-            f"checkpoint was trained on {config.vocab_size}", EXIT_INTEGRITY)
-    seed = _run_seed(run_dir) if args.seed is None else args.seed
-    parts = dict(zip(SPLITS, filter_examples(
-        examples, SplitAssignment.load(args.split))))
-    pairs = _encode(parts[args.subset], args.subset, config, vocab, seed)
-    report = tr.evaluate_pairs(params, config, pairs)
+
+    def check_vocab(vocab):
+        if len(vocab) != config.vocab_size:
+            raise CliError(
+                f"vocabulary {args.vocab} holds {len(vocab)} tokens, but the "
+                f"checkpoint was trained on {config.vocab_size}",
+                EXIT_INTEGRITY)
+    _, seed, pairs = _read_splits(args, check_vocab)
+    report = tr.evaluate_pairs(params, config, pairs(args.subset, config))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -332,16 +329,15 @@ def cmd_run_matrix(args) -> int:
     model_config, train_config = resolve_configs(
         args, vocab, [system for system, _ in tr.MATRIX_ROWS],
         {"train.system": "each run-matrix row", "train.seed": "--seeds"})
-    note_ids = sorted({ex.note_id for ex in examples})
-    notes = [SimpleNamespace(note_id=i) for i in note_ids]
-    templates = build_templates()
     splits_by_mode = {
-        mode: filter_examples(
-            examples, make_assignment(notes, templates, mode,
-                                      seed=args.split_seed))
+        mode: filter_examples(examples,
+                              _assign(examples, mode, seed=args.split_seed))
         for mode in ("pl", "r")
     }
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError as exc:
+        raise CliError(f"--seeds takes comma-separated integers: {exc}")
     out = Path(args.out)
     result = tr.run_matrix(splits_by_mode, vocab, model_config, train_config,
                            seeds, out_dir=out)
@@ -428,10 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--subset", choices=SPLITS, default="test")
-    p.add_argument("--seed", type=int,
-                   help="the run's training seed (default: the seed in the "
-                        "run's manifest.json): evidence negatives are drawn "
-                        "per (seed, subset) as training drew them")
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=cmd_eval)

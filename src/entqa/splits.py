@@ -7,6 +7,7 @@ see every template. Notes are partitioned disjointly in both modes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,11 +34,29 @@ class SplitAssignment:
     templates_eval: dict = field(default_factory=dict)   # lf_id -> [tid]
 
     def __post_init__(self):
+        """Refuses a bad mode or seed, non-integer note ids, and a note or
+        template id on both sides of the split, naming the id."""
         if self.mode not in ("pl", "r"):
             raise SplitError(f"unknown split mode {self.mode!r}")
-        for name in ("train_notes", "val_notes", "test_notes"):
-            if not all(type(i) is int for i in getattr(self, name)):
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise SplitError(f"seed must be a non-negative integer, got "
+                             f"{self.seed!r}")
+        notes = {name: getattr(self, name)
+                 for name in ("train_notes", "val_notes", "test_notes")}
+        for name, ids in notes.items():
+            if not all(type(i) is int for i in ids):
                 raise SplitError(f"{name}: note ids must be integers")
+        for (a, ids_a), (b, ids_b) in itertools.combinations(notes.items(), 2):
+            if ids_a & ids_b:
+                raise SplitError(f"note {min(ids_a & ids_b)} is in both "
+                                 f"{a} and {b}")
+        both = ({t for tids in self.templates_train.values() for t in tids}
+                & {t for tids in self.templates_eval.values() for t in tids})
+        if both:
+            raise SplitError(f"template {min(both, key=str)!r} is in both "
+                             "templates_train and templates_eval")
 
     def to_json(self) -> dict:
         return {

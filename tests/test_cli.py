@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import shutil
 import struct
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entqa import cli
 from entqa import model as mdl
 from entqa import trainer as tr
 from entqa.checkpoint import save_checkpoint
@@ -90,6 +94,32 @@ class TestGenData:
         assert manifest["blas_thread_env"] == {
             "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
             "MKL_NUM_THREADS": "1"}
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_manifest_records_entqa_commit_not_the_callers(
+            self, tmp_path, monkeypatch):
+        # run from inside another repository, the manifest still describes
+        # the entqa source, not that repository's commit
+        caller = tmp_path / "caller"
+        caller.mkdir()
+        git = ["git", "-C", str(caller), "-c", "user.name=t",
+               "-c", "user.email=t@example.com"]
+        subprocess.run(git + ["init", "-q"], check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"],
+                       check=True)
+        theirs = subprocess.run(git + ["describe", "--always", "--dirty"],
+                                capture_output=True, text=True,
+                                check=True).stdout.strip()
+        monkeypatch.chdir(caller)
+        assert main(["gen-data", "--num-notes", "2",
+                     "--out", str(tmp_path / "data")]) == 0
+        manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        ours = subprocess.run(["git", "describe", "--always", "--dirty"],
+                              capture_output=True, text=True,
+                              cwd=Path(cli.__file__).resolve().parent)
+        assert manifest["git_describe"] != theirs
+        assert manifest["git_describe"] == (
+            ours.stdout.strip() if ours.returncode == 0 else "unknown")
 
 
 class TestSplit:
@@ -333,8 +363,7 @@ class TestTrainEval:
                         config.digest())
         monkeypatch.setattr(tr, "evaluate_pairs", capture("eval", 2))
         with pytest.raises(Captured):
-            main(["eval", "--run", str(run), *common, "--subset", "val",
-                  "--seed", "7"])
+            main(["eval", "--run", str(run), *common, "--subset", "val"])
         trained, scored = captured["train"], captured["eval"]
         assert len(trained) == len(scored) > 0
         assert {p.label for p in trained} == {0, 1}
@@ -342,82 +371,59 @@ class TestTrainEval:
             np.testing.assert_array_equal(a.token_ids, b.token_ids)
             assert (a.label, a.lf_id) == (b.label, b.lf_id)
 
-    def test_eval_reads_the_training_seed_from_the_run(
+    def test_split_file_fixes_evidence_pairs_for_every_seed(
             self, tmp_path, monkeypatch):
-        # without --seed, eval --subset val on a seed-7 evidence run scores
-        # the validation pairs training drew: the seed comes from the run
-        data, split, run = tmp_path / "data", tmp_path / "pl", tmp_path / "run"
-        assert main(["gen-data", "--seed", "0", "--num-notes", "4",
+        # evidence runs trained at seeds 0 and 7 on one split draw the same
+        # validation pairs, and eval scores the same val and test pairs for
+        # both: the split file's seed keys the negatives, not the run's
+        data, split = tmp_path / "data", tmp_path / "pl"
+        assert main(["gen-data", "--seed", "0", "--num-notes", "8",
                      "--setting", "paragraph", "--out", str(data)]) == 0
-        assert main(["split", "--mode", "pl", "--seed", "0",
+        assert main(["split", "--mode", "pl", "--seed", "3",
                      "--data", str(data / "corpus.jsonl"),
                      "--out", str(split)]) == 0
         common = ["--data", str(data / "corpus.jsonl"),
                   "--vocab", str(data / "vocab.txt"),
                   "--split", str(split / "split.json")]
-        captured = {}
+        drawn = []
 
         def untrained(train_pairs, val_pairs, model_config, train_config,
                       **kwargs):
             # `train` writes the run's files around an untrained model
-            captured["train"] = val_pairs
+            drawn.append(val_pairs)
             config = tr.apply_system(model_config, train_config.system)
             return tr.TrainResult(mdl.init_params(config, 0), config)
 
-        class Captured(Exception):
-            pass
+        evaluate = tr.evaluate_pairs
 
         def scored(params, config, pairs):
-            captured["eval"] = pairs
-            raise Captured
+            drawn.append(pairs)
+            return evaluate(params, config, pairs)
 
         monkeypatch.setattr(tr, "train", untrained)
-        assert main(["train", *common, "--system", "evidence", "--seed", "7",
-                     "--set", "model.hidden_dim=16", "--set", "model.layers=1",
-                     "--set", "model.heads=2", "--set", "model.entity_dim=8",
-                     "--set", "model.ffn_mult=2", "--out", str(run)]) == 0
-        assert json.loads((run / "manifest.json").read_text())["seed"] == 7
         monkeypatch.setattr(tr, "evaluate_pairs", scored)
-        with pytest.raises(Captured):
-            main(["eval", "--run", str(run), *common, "--subset", "val"])
-        trained, evaluated = captured["train"], captured["eval"]
-        assert len(trained) == len(evaluated) > 0
-        assert {p.label for p in trained} == {0, 1}
-        for a, b in zip(trained, evaluated):
-            np.testing.assert_array_equal(a.token_ids, b.token_ids)
-            assert (a.label, a.lf_id) == (b.label, b.lf_id)
-        # seed 0's negatives differ, so the seed was not the old default
-        with pytest.raises(Captured):
-            main(["eval", "--run", str(run), *common, "--subset", "val",
-                  "--seed", "0"])
-        assert any(not np.array_equal(a.token_ids, b.token_ids)
-                   for a, b in zip(trained, captured["eval"]))
-
-    @pytest.mark.parametrize("manifest,named", [
-        (None, "cannot read the run's seed"),
-        ({"command": "train"}, "None"),
-        ({"command": "train", "seed": "7"}, "'7'"),
-        ({"command": "train", "seed": 7.5}, "7.5"),
-        ([7], "None")],
-        ids=["missing_manifest", "missing_seed", "string_seed", "float_seed",
-             "not_an_object"])
-    def test_eval_bad_run_seed_exits_3(self, workspace, tmp_path, capsys,
-                                       manifest, named):
-        import shutil
-        bad = tmp_path / "bad_run"
-        shutil.copytree(workspace / "run", bad)
-        path = bad / "manifest.json"
-        if manifest is None:
-            path.unlink()
-        else:
-            path.write_text(json.dumps(manifest))
-        code = main(["eval", "--run", str(bad),
-                     "--data", str(workspace / "data" / "corpus.jsonl"),
-                     "--vocab", str(workspace / "data" / "vocab.txt"),
-                     "--split", str(workspace / "pl" / "split.json")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert str(path) in err and named in err
+        for seed in (0, 7):
+            run = tmp_path / f"run{seed}"
+            assert main(["train", *common, "--system", "evidence",
+                         "--seed", str(seed), "--set", "model.hidden_dim=16",
+                         "--set", "model.layers=1", "--set", "model.heads=2",
+                         "--set", "model.entity_dim=8",
+                         "--set", "model.ffn_mult=2", "--out", str(run)]) == 0
+            for subset in ("val", "test"):
+                out = tmp_path / f"eval{seed}{subset}"
+                assert main(["eval", "--run", str(run), *common, "--subset",
+                             subset, "--out", str(out)]) == 0
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["seed"] == 3
+        # per seed: the trained val pairs, then eval's val and test pairs
+        trained0, val0, test0, trained7, val7, test7 = drawn
+        for a, b in [(trained0, trained7), (trained0, val0), (trained0, val7),
+                     (test0, test7)]:
+            assert len(a) == len(b) > 0
+            assert {p.label for p in a} == {0, 1}
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x.token_ids, y.token_ids)
+                assert (x.label, x.lf_id) == (y.label, y.lf_id)
 
     def test_eval_checkpoint_dims_past_the_end_exit_3(self, workspace,
                                                       tmp_path, capsys):
@@ -506,8 +512,21 @@ class TestTrainEval:
         (lambda obj: json.dumps(obj)[:40], "bad split file"),
         (lambda obj: json.dumps({**obj, "mode": "zz"}), "split mode 'zz'"),
         (lambda obj: json.dumps({**obj, "val_notes": ["1"]}),
-         "val_notes: note ids must be integers")],
-        ids=["missing_key", "truncated_json", "unknown_mode", "string_note_id"])
+         "val_notes: note ids must be integers"),
+        (lambda obj: json.dumps({**obj, "train_notes": obj["train_notes"]
+                                 + obj["test_notes"][:1]}),
+         "is in both train_notes and test_notes"),
+        (lambda obj: json.dumps({**obj, "templates_train": {
+            **obj["templates_train"], "0": obj["templates_train"]["0"]
+            + obj["templates_eval"]["0"][:1]}}),
+         "is in both templates_train and templates_eval"),
+        (lambda obj: json.dumps({**obj, "seed": "3"}),
+         "seed must be a non-negative integer, got '3'"),
+        (lambda obj: json.dumps({**obj, "seed": -1}),
+         "seed must be a non-negative integer, got -1")],
+        ids=["missing_key", "truncated_json", "unknown_mode", "string_note_id",
+             "note_on_two_sides", "template_on_two_sides", "string_seed",
+             "negative_seed"])
     def test_bad_split_file_exits_3(self, workspace, tmp_path, capsys, edit,
                                     named):
         split = tmp_path / "split.json"
@@ -688,6 +707,17 @@ def test_run_matrix_refuses_repeated_seeds(workspace, tmp_path, capsys,
     args = _training_args(workspace, tmp_path, "run-matrix")
     assert main(args + ["--seeds", "3,1,3"]) == 2
     assert "seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds,bad", [("0,1,x", "'x'"), ("0,1,2,", "''")],
+                         ids=["not_a_number", "trailing_comma"])
+def test_run_matrix_names_a_bad_seed(workspace, tmp_path, capsys,
+                                     monkeypatch, seeds, bad):
+    monkeypatch.setattr(tr, "run_matrix", _refused_before_training)
+    args = _training_args(workspace, tmp_path, "run-matrix")
+    assert main(args + ["--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err and bad in err
 
 
 @pytest.mark.parametrize("command", ["train", "run-matrix"])
