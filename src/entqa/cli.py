@@ -335,9 +335,9 @@ def cmd_run_matrix(args) -> int:
         for mode in ("pl", "r")
     }
     try:
-        seeds = [int(s) for s in args.seeds.split(",")]
-    except ValueError as exc:
-        raise CliError(f"--seeds takes comma-separated integers: {exc}")
+        seeds = [_seed(s) for s in args.seeds.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"--seeds takes comma-separated seeds: {exc}")
     out = Path(args.out)
     result = tr.run_matrix(splits_by_mode, vocab, model_config, train_config,
                            seeds, out_dir=out)
@@ -375,6 +375,18 @@ def cmd_lf_tokenize(args) -> int:
 # Parser.
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A seed flag's value: numpy takes only non-negative integers."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entqa",
@@ -386,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine-readable JSON on stdout")
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--num-notes", type=int, default=100)
     p.add_argument("--setting", choices=("sentence", "paragraph"),
                    default="sentence")
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="write a train/val/test assignment")
     p.add_argument("--mode", choices=("pl", "r"), required=True)
     p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--data", required=True, help="corpus JSONL")
     p.add_argument("--out", required=True)
     common(p)
@@ -410,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--split", required=True, help="split.json path")
     p.add_argument("--system", choices=tr.SYSTEMS, default="multitask")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", help="JSON config with dotted keys")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--out", required=True)
@@ -438,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--seeds", default="0,1,2", help="comma-separated")
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--config")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--out", required=True)

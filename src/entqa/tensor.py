@@ -8,24 +8,33 @@ the fused cross-entropy losses, which ``gradcheck`` audits by finite
 differences. No GPU, no broadcasting rules beyond what the model needs.
 
 Every op computes its forward value and hands ``Tensor._make`` one
-``(input, vjp)`` edge per tensor input, where ``vjp`` maps the output's
+``(input, vjp)`` pair per tensor input, where ``vjp`` maps the output's
 gradient to that input's gradient. The vjp may return a gradient in the
 output's broadcast shape: ``Tensor.backward`` alone sums it down to the
-input's shape and accumulates it. Edges whose input needs no gradient are
+input's shape and accumulates it. Pairs whose input needs no gradient are
 dropped when the op runs, so ops on constants record no graph.
 
-A node keeps only what its backward needs: ``linear`` is one node for
-``x @ w + b``, ``attention`` one node that takes [B, L, d] projections,
-splits and merges the heads itself and holds q, k, v and the softmax
-probabilities, and ``dropout`` a boolean mask. ``backward`` frees the
-graph as it walks it: once a node has passed its gradient to its inputs
-it drops its gradient and edges and stops requiring a gradient, so a
-result can be backpropagated once (a second ``backward`` raises
-``GradientError``), and only parameter (leaf) gradients remain
-afterwards.
+Value and node. A ``Tensor`` is a value (``data``) and, when it requires a
+gradient, a ``_Node``: its place in the graph, which holds the value's
+shape, its gradient and its edges (``(input node, vjp)`` pairs) but never
+the value. Edges point at nodes, not at tensors, so the graph alone keeps
+no op result's array alive: an array outlives the caller's reference only
+when a vjp captured it. A leaf (a parameter) keeps its node, and so its
+gradient, for as long as the tensor lives.
+
+Each vjp captures only what it reads: ``linear`` is one node for
+``x @ w + b`` that keeps x and w, ``attention`` one node that takes
+[B, L, d] projections, splits and merges the heads itself and holds q,
+k, v and the softmax probabilities, ``dropout`` a boolean mask,
+``layer_norm`` the normalized rows but not its input, and ``sum`` and
+indexing only their input's shape. ``backward``
+frees the graph as it walks it: once a node has passed its gradient to
+its inputs it drops its gradient and edges and stops requiring a
+gradient, so a result can be backpropagated once (a second ``backward``
+raises ``GradientError``), and only leaf gradients remain afterwards.
 
 Buffers. An op owns the arrays it allocates: its result and what its
-node keeps for backward. The elementwise kernels (``gelu``,
+vjps keep for backward. The elementwise kernels (``gelu``,
 ``layer_norm``, ``dropout``, attention's scale, mask bias and softmax,
 ``linear``'s bias) allocate each result once and fill it in place with
 ``out=`` ufuncs, in blocks of rows (``_row_blocks``) so that a block's
@@ -33,7 +42,7 @@ operands stay in cache between passes; a vjp allocates the gradient it
 returns the same way. Each keeps the plain expression's operations in
 their order, so the bits equal those of the whole-array expression
 (tests/tensor_reference.py holds those expressions). A vjp never writes
-into the gradient ``g`` it is handed, nor into anything its node keeps:
+into the gradient ``g`` it is handed, nor into anything it keeps:
 ``g`` may be shared with another node (``a + b`` hands both inputs the
 same array, which each may adopt as its gradient).
 """
@@ -76,23 +85,42 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    """A dense n-d float64 array with an optional gradient buffer.
+class _Node:
+    """A tensor's place in the graph: the shape of its value, the gradient
+    backward accumulates for it, and the ``(input node, vjp)`` edges of the
+    op that made it (none for a leaf). It never holds the value."""
 
-    A tensor built by an op keeps ``_edges``: the ``(input, vjp)`` pairs
-    of the inputs that require a gradient. ``backward()`` on a scalar
-    result walks the edges in reverse topological order, fills ``grad`` on
-    every requires_grad leaf reachable from it and frees the op results it
-    passes through.
+    __slots__ = ("shape", "grad", "edges", "requires_grad")
+
+    def __init__(self, shape: tuple, edges: tuple = ()):
+        self.shape = shape
+        self.grad = None
+        self.edges = edges
+        self.requires_grad = True
+
+    def accumulate(self, g: np.ndarray):
+        # adopt the first gradient, copied only when not C-contiguous (as a
+        # broadcast view is); `g` may be shared with another node, so
+        # neither it nor the adopted buffer is ever written in place
+        if self.grad is None:
+            self.grad = np.asarray(g, order="C")
+        else:
+            self.grad = self.grad + g
+
+
+class Tensor:
+    """A dense n-d float64 array and, if it requires a gradient, its node.
+
+    ``backward()`` on a scalar result walks the nodes' edges in reverse
+    topological order, fills ``grad`` on every requires_grad leaf
+    reachable from it and frees the op results' nodes it passes through.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_edges")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._edges = ()
+        self._node = _Node(self.data.shape) if requires_grad else None
 
     # -- structural helpers -------------------------------------------------
 
@@ -104,27 +132,32 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None and self._node.requires_grad
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):   # a tensor that requires no gradient has no node
+        self._node.grad = g
+
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray):
-        # adopt the first gradient, copied only when not C-contiguous (as a
-        # broadcast view is); `g` may be shared with another node, so
-        # neither it nor the adopted buffer is ever written in place
-        if self.grad is None:
-            self.grad = np.asarray(g, order="C")
-        else:
-            self.grad = self.grad + g
-
     @staticmethod
     def _make(data, edges) -> "Tensor":
-        """The op result `data`; keeps the edges whose input needs a gradient."""
+        """The op result `data`; its node keeps the edges whose input needs
+        a gradient, and it has none when no input does."""
         out = Tensor(data)
-        out._edges = tuple((t, vjp) for t, vjp in edges if t.requires_grad)
-        out.requires_grad = bool(out._edges)
+        kept = tuple((t._node, vjp) for t, vjp in edges if t.requires_grad)
+        if kept:
+            out._node = _Node(out.data.shape, kept)
         return out
 
     # -- autodiff ------------------------------------------------------------
@@ -138,9 +171,10 @@ class Tensor:
             if self.data.size != 1:
                 raise ShapeError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
+        root = self._node
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -150,7 +184,7 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p, _ in node._edges:
+            for p, _ in node.edges:
                 # every edge's input required a gradient when the op ran
                 if not p.requires_grad:
                     raise GradientError(
@@ -158,15 +192,15 @@ class Tensor:
                         "earlier backward()")
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.asarray(grad, dtype=DTYPE))
+        root.accumulate(np.asarray(grad, dtype=DTYPE))
         # reverse topological order; a node is dropped from `topo` once its
-        # gradient is passed on, so its arrays are freed as the walk goes
+        # gradient is passed on, so its vjps' arrays are freed as the walk goes
         while topo:
             node = topo.pop()
-            if node._edges:
-                for p, vjp in node._edges:
-                    p._accumulate(_unbroadcast(vjp(node.grad), p.data.shape))
-                node.grad, node._edges, node.requires_grad = None, (), False
+            if node.edges:
+                for p, vjp in node.edges:
+                    p.accumulate(_unbroadcast(vjp(node.grad), p.shape))
+                node.grad, node.edges, node.requires_grad = None, (), False
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -205,18 +239,22 @@ class Tensor:
                             ((self, lambda g: g.reshape(old)),))
 
     def __getitem__(self, idx) -> "Tensor":
+        shape = self.data.shape
+
         def vjp(g):
-            full = np.zeros_like(self.data)
+            full = np.zeros(shape)
             np.add.at(full, idx, g)
             return full
 
         return Tensor._make(self.data[idx], ((self, vjp),))
 
     def sum(self, axis=None, keepdims=False) -> "Tensor":
+        shape = self.data.shape
+
         def vjp(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.data.shape)
+            return np.broadcast_to(g, shape)
 
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims),
                             ((self, vjp),))
@@ -244,7 +282,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # -- elementwise kernels ------------------------------------------------------
 
 # Bytes of one operand per block: a kernel's three or four operands of one
-# block stay in a 4 MiB L2 between its passes.
+# block stay in a 2 MiB per-core L2 between its passes.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -323,8 +361,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         np.multiply(c, gd, out=o)
         o += bias.data
 
+    shape = xd.shape
+
     def vjp_x(g):
-        gx = np.empty(xd.shape)
+        gx = np.empty(shape)
         G, GX = _rows(g), _rows(gx)
         scratch = np.empty_like(GX[blocks[0]])
         for rows in blocks:
@@ -354,10 +394,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"min={ids.min()}, max={ids.max()}"
         )
 
+    n, d = table.data.shape
+
     def vjp(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return full
+        # one bincount adds each row's entries from 0.0 in row order, as
+        # np.add.at would, so the sums have the same bits
+        flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        return np.bincount(flat, weights=g.reshape(-1),
+                           minlength=n * d).reshape(n, d)
 
     return Tensor._make(table.data[ids], ((table, vjp),))
 

@@ -4,9 +4,10 @@ The package's graph needs none of these. The unfused ops (softmax,
 swapaxes, transpose, mean) build references for the fused attention node
 (see tests/test_model.py) and have their gradients checked alongside the
 package's ops (tests/test_tensor.py). The kernels below them are the
-plain whole-array expressions of GELU, layer norm, dropout and attention:
-the package computes the same expressions in blocks of rows and in owned
-buffers, and tests/test_tensor_kernels.py requires the same bits.
+plain whole-array expressions of GELU, layer norm, embedding, dropout and
+attention: the package computes the same expressions in blocks of rows,
+in owned buffers or (embedding's gradient) in one ``np.bincount``, and
+tests/test_tensor_kernels.py requires the same bits.
 """
 
 import math
@@ -86,6 +87,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     return Tensor._make(xhat * gain.data + bias.data,
                         ((x, vjp_x), (gain, lambda g: g * xhat), (bias, lambda g: g)))
+
+
+def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
+    ids = np.asarray(ids)
+
+    def vjp(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        return full
+
+    return Tensor._make(table.data[ids], ((table, vjp),))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,

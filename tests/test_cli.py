@@ -720,6 +720,36 @@ def test_run_matrix_names_a_bad_seed(workspace, tmp_path, capsys,
     assert "--seeds" in err and bad in err
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("gen-data", ["--seed", "-1"]),
+    ("split", ["--seed", "-1"]),
+    ("train", ["--seed", "-1"]),
+    ("run-matrix", ["--split-seed", "-1"]),
+    ("run-matrix", ["--seeds=-1,0,1"]),
+], ids=["gen-data", "split", "train", "run-matrix-split-seed",
+        "run-matrix-seeds"])
+def test_negative_seed_names_its_flag(workspace, tmp_path, capsys,
+                                      monkeypatch, command, flag):
+    # numpy refuses a negative seed with a message that names no flag
+    _no_training(monkeypatch)
+    data = workspace / "data"
+    out = tmp_path / "out"
+    if command == "gen-data":
+        args = ["gen-data", "--out", str(out)]
+    elif command == "split":
+        args = ["split", "--mode", "pl", "--data", str(data / "corpus.jsonl"),
+                "--out", str(out)]
+    else:
+        args = _training_args(workspace, tmp_path, command)
+    try:
+        code = main(args + flag)
+    except SystemExit as exc:   # argparse refuses the value while parsing
+        code = exc.code
+    assert code == 2
+    assert flag[0].split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "run-matrix"])
 @pytest.mark.parametrize("key", ["trian.epochs", "epochs", "lr",
                                  "optimizer.lr"])

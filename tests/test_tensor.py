@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,7 @@ def test_op_gradient_matches_finite_differences(name, shapes, op):
 @pytest.mark.parametrize("name,shapes,op", OPS, ids=OP_IDS)
 def test_op_on_constants_records_no_edges(name, shapes, op):
     out = op(*[Tensor(a) for a in _inputs(shapes)])
-    assert out._edges == ()
+    assert out._node is None
     assert not out.requires_grad
 
 
@@ -152,6 +153,60 @@ def test_scalar_gradient_keeps_its_shape():
     x = Tensor(2.0, requires_grad=True)
     (x * x).backward()
     assert x.grad.shape == () and x.grad == 4.0
+
+
+# (id, input shapes, op, whether the op's vjps read each input's array)
+KEEPS = [
+    ("add", [(2, 3), (2, 3)], lambda a, b: a + b, (False, False)),
+    ("mul", [(2, 3), (2, 3)], lambda a, b: a * b, (True, True)),
+    ("matmul", [(2, 3), (3, 4)], lambda a, b: a @ b, (True, True)),
+    ("reshape", [(2, 3, 4)], lambda a: a.reshape(6, 4), (False,)),
+    ("getitem", [(3, 4)], lambda a: a[:, 1:3], (False,)),
+    ("sum", [(2, 3, 4)], lambda a: a.sum(axis=1), (False,)),
+    ("linear", [(2, 3, 4), (4, 5), (5,)], T.linear, (True, True, False)),
+    ("gelu", [(2, 5)], T.gelu, (True,)),
+    ("layer_norm", [(2, 3, 5), (5,), (5,)], T.layer_norm,
+     (False, True, False)),
+    ("embedding", [(4, 3)],
+     lambda t: T.embedding(t, np.array([[0, 2, 0], [1, 1, 3]])), (False,)),
+    ("dropout", [(3, 4)],
+     lambda a: T.dropout(a, 0.3, np.random.default_rng(0), train=True),
+     (False,)),
+    ("attention", [(2, 3, 4)] * 3,
+     lambda q, k, v: T.attention(q, k, v, 2, mask=KEY_MASK),
+     (True, True, True)),
+    ("softmax_cross_entropy", [(4, 5)],
+     lambda a: T.softmax_cross_entropy(a, np.array([0, 2, 4, 2])), (False,)),
+    ("bce_with_logits", [(2, 3)],
+     lambda a: T.binary_cross_entropy_with_logits(a, np.array([[0, 1, 1],
+                                                               [1, 0, 0]])),
+     (True,)),
+]
+
+
+@pytest.mark.parametrize("name,shapes,op,keeps", KEEPS,
+                         ids=[case[0] for case in KEEPS])
+def test_graph_keeps_an_input_array_only_if_a_vjp_reads_it(name, shapes, op,
+                                                           keeps):
+    def run(drop_inputs):
+        leaves = [Tensor(a, requires_grad=True) for a in _inputs(shapes)]
+        # op results, so that nothing but the graph could hold their arrays
+        inputs = [leaf + 0.0 for leaf in leaves]
+        alive = [weakref.ref(t.data) for t in inputs]
+        out = op(*inputs)
+        w = np.random.default_rng(12).normal(size=out.shape)
+        loss = (out * Tensor(w)).sum()
+        if drop_inputs:
+            del inputs, out
+        kept = tuple(ref() is not None for ref in alive)
+        loss.backward()
+        return kept, [leaf.grad for leaf in leaves]
+
+    kept, grads = run(drop_inputs=True)
+    assert kept == keeps
+    _, want = run(drop_inputs=False)
+    for g, ref_g in zip(grads, want):
+        np.testing.assert_array_equal(g, ref_g)
 
 
 class TestMatmul:
@@ -274,7 +329,7 @@ class TestAttention:
         # q and k share one softmax backward, valid only for the first g
         q, k, v = (Tensor(a, requires_grad=True) for a in _inputs([(2, 3, 4)] * 3))
         out = T.attention(q, k, v, 2)
-        (_, vjp_q), (_, vjp_k), _ = out._edges
+        (_, vjp_q), (_, vjp_k), _ = out._node.edges
         g = np.ones(out.shape)
         vjp_q(g)
         vjp_k(g)
@@ -286,9 +341,9 @@ class TestAttention:
         code = ("import numpy as np; from entqa import tensor as T\n"
                 "x = T.Tensor(np.ones((1, 2, 2)), requires_grad=True)\n"
                 "out = T.attention(x, x, x, 1)\n"
-                "out._edges[0][1](np.ones(out.shape))\n"
+                "out._node.edges[0][1](np.ones(out.shape))\n"
                 "try:\n"
-                "    out._edges[1][1](np.zeros(out.shape))\n"
+                "    out._node.edges[1][1](np.zeros(out.shape))\n"
                 "except T.GradientError:\n"
                 "    print('raised')\n")
         run = subprocess.run([sys.executable, "-O", "-c", code],
@@ -391,8 +446,8 @@ class TestGradcheck:
         def bad_loss():
             out = w.sum()
             # corrupt the recorded edge
-            ((inp, _),) = out._edges
-            out._edges = ((inp, lambda g: np.full((2, 2), 2.0) * g),)
+            ((inp, _),) = out._node.edges
+            out._node.edges = ((inp, lambda g: np.full((2, 2), 2.0) * g),)
             return out
 
         report = T.gradcheck(bad_loss, {"w": w}, np.random.default_rng(0))
@@ -417,7 +472,7 @@ class TestDeterminism:
     def test_dropout_keeps_a_boolean_mask(self):
         out = T.dropout(Tensor(np.ones((4, 4)), requires_grad=True), 0.5,
                         np.random.default_rng(0), train=True)
-        ((_, vjp),) = out._edges
+        ((_, vjp),) = out._node.edges
         kept = [c.cell_contents for c in vjp.__closure__
                 if isinstance(c.cell_contents, np.ndarray)]
         assert [a.dtype for a in kept] == [np.dtype(bool)]

@@ -1,12 +1,13 @@
 """The blocked kernels give the whole-array expressions' exact bits.
 
 `entqa.tensor` computes GELU, layer norm, dropout, attention's softmax and
-linear's bias in owned buffers, in blocks of rows. Each forward and each
-vjp here must equal the plain expression in tests/tensor_reference.py bit
-for bit (signed zeros included), at the model's default and acceptance
-sizes, for a single row, for row counts that are not a multiple of the
-block, and for non-contiguous upstream gradients. No vjp may write into
-the gradient it is handed.
+linear's bias in owned buffers, in blocks of rows, and embedding's
+gradient in one bincount. Each forward and each vjp here must equal the
+plain expression in tests/tensor_reference.py bit for bit (signed zeros
+included), at the model's default and acceptance sizes, for a single
+row, for row counts that are not a multiple of the block, and for
+non-contiguous upstream gradients. No vjp may write into the gradient it
+is handed.
 """
 
 import numpy as np
@@ -40,12 +41,12 @@ def _check(op, ref_op, arrays, rng, **kwargs):
     ref_ins = [Tensor(a, requires_grad=True) for a in arrays]
     out, want = op(*ins, **kwargs), ref_op(*ref_ins, **kwargs)
     assert _same_bits(out.data, want.data)
-    assert len(out._edges) == len(want._edges)
+    assert len(out._node.edges) == len(want._node.edges) == len(ins)
     for name, g in _gradients(out.shape, rng):
         before = g.copy()
         # fresh nodes per gradient: attention caches its first g's products
         out, want = op(*ins, **kwargs), ref_op(*ref_ins, **kwargs)
-        for (_, vjp), (_, ref_vjp) in zip(out._edges, want._edges):
+        for (_, vjp), (_, ref_vjp) in zip(out._node.edges, want._node.edges):
             assert _same_bits(vjp(g), ref_vjp(g)), name
         assert _same_bits(g, before), f"a vjp wrote into the {name} gradient"
 
@@ -113,6 +114,23 @@ def test_linear_bits(name, shape):
     x = rng.normal(size=shape)
     w, b = rng.normal(size=(shape[-1], 6)), rng.normal(size=6)
     _check(T.linear, ref.linear, [x, w, b], rng)
+
+
+# (id, table shape, ids shape); the default token and acceptance entity
+# tables, and a small table whose ids repeat in every row
+EMBEDDING_SHAPES = [
+    ("small_repeated", (3, 5), (4, 6)),
+    ("default_tokens", (400, 128), (16, 128)),
+    ("acceptance_entities", (40, 12), (32, 30)),
+]
+
+
+@pytest.mark.parametrize("name,table,ids", EMBEDDING_SHAPES,
+                         ids=[case[0] for case in EMBEDDING_SHAPES])
+def test_embedding_bits(name, table, ids):
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, table[0], size=ids)
+    _check(T.embedding, ref.embedding, [rng.normal(size=table)], rng, ids=ids)
 
 
 # (id, [B, L, d], heads); the default token encoder, the acceptance
