@@ -121,7 +121,7 @@ def _git_describe() -> str:
             cwd=Path(__file__).resolve().parent)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):   # no git, or a hung one
         pass
     return "unknown"
 

@@ -255,7 +255,8 @@ def _attn_block(x: Tensor, params, prefix, heads, mask, config, rng, train):
                       lin(xn, "attn.wv", "attn.bv"), heads, mask)
     x = x + _dropout(lin(att, "attn.wo", "attn.bo"), config, rng, train)
     xn2 = T.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    h = lin(T.gelu(lin(xn2, "ffn.w1", "ffn.b1")), "ffn.w2", "ffn.b2")
+    h = T.ffn(xn2, *(params[f"{prefix}.ffn.{n}"]
+                     for n in ("w1", "b1", "w2", "b2")))
     return x + _dropout(h, config, rng, train)
 
 

@@ -2,10 +2,11 @@
 
 Just enough machinery to train a small transformer QA stack on CPU, and
 no op the package does not call: broadcast ``+`` and ``*``, stacked
-matmul, ``reshape``, indexing, ``sum``, ``linear``, ``gelu``,
-``layer_norm``, ``embedding``, ``dropout``, multi-head ``attention`` and
-the fused cross-entropy losses, which ``gradcheck`` audits by finite
-differences. No GPU, no broadcasting rules beyond what the model needs.
+matmul, ``reshape``, indexing, ``sum``, ``linear``, ``gelu``, the
+feed-forward sublayer ``ffn``, ``layer_norm``, ``embedding``,
+``dropout``, multi-head ``attention`` and the fused cross-entropy losses,
+which ``gradcheck`` audits by finite differences. No GPU, no
+broadcasting rules beyond what the model needs.
 
 Every op computes its forward value and hands ``Tensor._make`` one
 ``(input, vjp)`` pair per tensor input, where ``vjp`` maps the output's
@@ -23,23 +24,28 @@ when a vjp captured it. A leaf (a parameter) keeps its node, and so its
 gradient, for as long as the tensor lives.
 
 Each vjp captures only what it reads: ``linear`` is one node for
-``x @ w + b`` that keeps x and w, ``attention`` one node that takes
-[B, L, d] projections, splits and merges the heads itself and holds q,
-k, v and the softmax probabilities, ``dropout`` a boolean mask,
-``layer_norm`` the normalized rows but not its input, and ``sum`` and
-indexing only their input's shape. ``backward``
-frees the graph as it walks it: once a node has passed its gradient to
-its inputs it drops its gradient and edges and stops requiring a
-gradient, so a result can be backpropagated once (a second ``backward``
-raises ``GradientError``), and only leaf gradients remain afterwards.
+``x @ w + b`` that keeps x and w, ``ffn`` one node for
+``linear(gelu(linear(x, w1, b1)), w2, b2)`` that keeps x, w1, w2, the
+pre-activation and its normal cdf but not GELU's output, which backward
+recomputes, ``attention`` one node that takes [B, L, d] projections,
+splits and merges the heads itself and holds q, k, v and the softmax
+probabilities, ``dropout`` a boolean mask, ``layer_norm`` the normalized
+rows but not its input, and ``sum`` and indexing only their input's
+shape. Vjps of one node that share a product (attention's head
+gradients, ``ffn``'s gradient through GELU) compute it once, through
+``_once_per_gradient``. ``backward`` frees the graph as it walks it:
+once a node has passed its gradient to its inputs it drops its gradient
+and edges and stops requiring a gradient, so a result can be
+backpropagated once (a second ``backward`` raises ``GradientError``),
+and only leaf gradients remain afterwards.
 
 Buffers. An op owns the arrays it allocates: its result and what its
-vjps keep for backward. The elementwise kernels (``gelu``,
-``layer_norm``, ``dropout``, attention's scale, mask bias and softmax,
-``linear``'s bias) allocate each result once and fill it in place with
-``out=`` ufuncs, in blocks of rows (``_row_blocks``) so that a block's
-operands stay in cache between passes; a vjp allocates the gradient it
-returns the same way. Each keeps the plain expression's operations in
+vjps keep for backward. The elementwise kernels (GELU in ``gelu`` and
+``ffn``, ``layer_norm``, ``dropout``, attention's scale, mask bias and
+softmax, ``linear``'s bias) allocate each result once and fill it in
+place with ``out=`` ufuncs, in blocks of rows (``_row_blocks``) so that
+a block's operands stay in cache between passes; a vjp allocates the
+gradient it returns the same way. Each keeps the plain expression's operations in
 their order, so the bits equal those of the whole-array expression
 (tests/tensor_reference.py holds those expressions). A vjp never writes
 into the gradient ``g`` it is handed, nor into anything it keeps:
@@ -267,6 +273,22 @@ def _check_matmul(a: np.ndarray, b: np.ndarray):
         raise ShapeError(f"matmul inner dims disagree: {a.shape} vs {b.shape}")
 
 
+def _once_per_gradient(compute):
+    """`compute(g)` for the vjps of one node that share a product: the first
+    call computes it and later calls return it. Tensor.backward calls a
+    node's vjps once each, all with the same g; a different g raises."""
+    memo = []
+
+    def shared(g):
+        if not memo:
+            memo.append((g, compute(g)))
+        if memo[0][0] is not g:
+            raise GradientError("one node's vjps called with different gradients")
+        return memo[0][1]
+
+    return shared
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node; the product is not kept for backward."""
     xd, wd = x.data, w.data
@@ -304,13 +326,10 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU; keeps x and its normal cdf for backward."""
-    xd = x.data
-    cdf, out = np.empty(xd.shape), np.empty(xd.shape)
-    X, C, O = _rows(xd), _rows(cdf), _rows(out)
-    blocks = _row_blocks(X)
-    for rows in blocks:
+def _gelu_fill(X: np.ndarray) -> tuple:
+    """GELU of the rows `X` and their normal cdf, in owned buffers."""
+    C, O = np.empty(X.shape), np.empty(X.shape)
+    for rows in _row_blocks(X):
         xb, c = X[rows], C[rows]
         # cdf = 0.5 * (1 + erf(x / sqrt 2)); out = x * cdf
         np.multiply(xb, _INV_SQRT2, out=c)
@@ -318,23 +337,77 @@ def gelu(x: Tensor) -> Tensor:
         c += 1.0
         c *= 0.5
         np.multiply(xb, c, out=O[rows])
+    return O, C
 
-    def vjp(g):
-        gx = np.empty(xd.shape)
-        G, GX = _rows(g), _rows(gx)
-        for rows in blocks:
-            xb, o = X[rows], GX[rows]
-            # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi))
-            np.multiply(xb, -0.5, out=o)
-            o *= xb
-            np.exp(o, out=o)
-            o *= _INV_SQRT2PI
-            o *= xb
-            o += C[rows]
-            o *= G[rows]
-        return gx
 
-    return Tensor._make(out, ((x, vjp),))
+def _gelu_grad(X: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The gradient `G` through GELU of the rows `X` (cdf `C`), in a fresh
+    buffer."""
+    GX = np.empty(X.shape)
+    for rows in _row_blocks(X):
+        xb, o = X[rows], GX[rows]
+        # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi))
+        np.multiply(xb, -0.5, out=o)
+        o *= xb
+        np.exp(o, out=o)
+        o *= _INV_SQRT2PI
+        o *= xb
+        o += C[rows]
+        o *= G[rows]
+    return GX
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact (erf-based) GELU; keeps x and its normal cdf for backward."""
+    shape = x.data.shape
+    X = _rows(x.data)
+    out, cdf = _gelu_fill(X)
+    return Tensor._make(
+        out.reshape(shape),
+        ((x, lambda g: _gelu_grad(X, cdf, _rows(g)).reshape(shape)),))
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) as one node, with the bits of
+    those three nodes.
+
+    Keeps x, w1, w2, the pre-activation a and its normal cdf, but not
+    GELU's output h = a * cdf: w2's gradient recomputes h one batch row at
+    a time.
+    """
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    _check_matmul(xd, w1d)
+    a = np.matmul(xd, w1d)
+    a += b1.data
+    _check_matmul(a, w2d)
+    A = _rows(a)
+    h, C = _gelu_fill(A)
+    out = np.matmul(h.reshape(a.shape), w2d)
+    out += b2.data
+    cdf = C.reshape(a.shape)
+
+    @_once_per_gradient
+    def grad_a(g):   # g @ w2^T, then back through GELU
+        dh = np.matmul(g, w2d.swapaxes(-1, -2))
+        return _gelu_grad(A, C, _rows(dh)).reshape(a.shape)
+
+    def vjp_w2(g):
+        # the batch rows' h_i^T g_i, added in row order as _unbroadcast
+        # sums the batched product
+        rows = (np.matmul((a[i] * cdf[i]).swapaxes(-1, -2), g[i])
+                for i in np.ndindex(a.shape[:-2]))
+        gw = next(rows)
+        for p in rows:
+            gw += p
+        return gw
+
+    return Tensor._make(
+        out,
+        ((x, lambda g: np.matmul(grad_a(g), w1d.swapaxes(-1, -2))),
+         (w1, lambda g: np.matmul(xd.swapaxes(-1, -2), grad_a(g))),
+         (b1, grad_a),
+         (w2, vjp_w2),
+         (b2, lambda g: g)))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -516,26 +589,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         yb -= yb.max(axis=-1, keepdims=True)
         np.exp(yb, out=yb)
         yb /= yb.sum(axis=-1, keepdims=True)
-    memo = []   # (g, g split into heads, d(loss)/d(scaled scores))
 
+    @_once_per_gradient
     def head_grads(g):
-        # Tensor.backward calls a node's vjps once each, all with the same g
-        if not memo:
-            gh = np.ascontiguousarray(split(g))
-            # y * (gy - sum(gy * y)) * scale, in gy's buffer
-            gy = np.matmul(gh, vd.swapaxes(-1, -2))
-            scratch = np.empty_like(gy[blocks[0]])
-            for rows in blocks:
-                gb, yb = gy[rows], y[rows]
-                t = scratch[:len(gb)]
-                np.multiply(gb, yb, out=t)
-                gb -= t.sum(axis=-1, keepdims=True)
-                gb *= yb
-                gb *= scale
-            memo.append((g, gh, gy))
-        if memo[0][0] is not g:
-            raise GradientError("attention vjps called with different gradients")
-        return memo[0][1:]
+        # (g split into heads, d(loss)/d(scaled scores))
+        gh = np.ascontiguousarray(split(g))
+        # y * (gy - sum(gy * y)) * scale, in gy's buffer
+        gy = np.matmul(gh, vd.swapaxes(-1, -2))
+        scratch = np.empty_like(gy[blocks[0]])
+        for rows in blocks:
+            gb, yb = gy[rows], y[rows]
+            t = scratch[:len(gb)]
+            np.multiply(gb, yb, out=t)
+            gb -= t.sum(axis=-1, keepdims=True)
+            gb *= yb
+            gb *= scale
+        return gh, gy
 
     return Tensor._make(
         merge(np.matmul(y, vd)),

@@ -121,6 +121,16 @@ class TestGenData:
         assert manifest["git_describe"] == (
             ours.stdout.strip() if ours.returncode == 0 else "unknown")
 
+    def test_hung_git_records_unknown(self, tmp_path, monkeypatch):
+        def hang(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(subprocess, "run", hang)
+        assert main(["gen-data", "--num-notes", "2",
+                     "--out", str(tmp_path / "data")]) == 0
+        manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        assert manifest["git_describe"] == "unknown"
+
 
 class TestSplit:
     def test_manifest_and_id_lists(self, workspace):

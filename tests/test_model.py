@@ -436,6 +436,10 @@ def _unfused_linear(x, w, b):
     return x.matmul(w) + b
 
 
+def _unfused_ffn(x, w1, b1, w2, b2):
+    return _unfused_linear(T.gelu(_unfused_linear(x, w1, b1)), w2, b2)
+
+
 def _unfused_attention(q, k, v, heads, mask=None):
     b, l, d = q.shape
 
@@ -489,10 +493,10 @@ class TestLeanGraph:
                 assert out._node.edges == () and out._node.grad is None
         assert all(p.grad is not None for p in params.values())
 
-    def test_one_block_records_fourteen_nodes(self, small_config,
-                                              small_params, monkeypatch):
+    def test_one_block_records_twelve_nodes(self, small_config,
+                                            small_params, monkeypatch):
         # two layer norms, q/k/v/o projections, attention, the feed-forward
-        # pair and its GELU, two dropouts and two residual adds
+        # sublayer, two dropouts and two residual adds
         config = dataclasses.replace(small_config, dropout=0.1)
         batch = make_batch(config, np.random.default_rng(18))
         x = Tensor(np.random.default_rng(19).normal(size=(2, 12, 16)))
@@ -501,7 +505,7 @@ class TestLeanGraph:
                               batch.attention_mask, config,
                               np.random.default_rng(20), train=True)
         assert out.requires_grad
-        assert len(nodes) == 14
+        assert len(nodes) == 12
 
     def test_gradients_equal_the_unfused_graph(self, small_config,
                                                monkeypatch):
@@ -509,6 +513,7 @@ class TestLeanGraph:
         lean = self._train_step(config)
         monkeypatch.setattr(T, "linear", _unfused_linear)
         monkeypatch.setattr(T, "attention", _unfused_attention)
+        monkeypatch.setattr(T, "ffn", _unfused_ffn)
         unfused = self._train_step(config)
         for name, p in lean.items():
             np.testing.assert_array_equal(p.grad, unfused[name].grad,

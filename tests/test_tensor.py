@@ -32,6 +32,7 @@ def numerical_grad(fn, x: np.ndarray, h=1e-6):
 # (id, input shapes, op over the input tensors); every op of the engine
 # appears, with broadcasting on both sides of + and *
 KEY_MASK = np.array([[True, True, False], [True, False, True]])
+FFN_SHAPES = [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]   # x, w1, b1, w2, b2
 OPS = [
     ("add_trailing", [(2, 3, 4), (4,)], lambda a, b: a + b),
     ("add_both_sides", [(2, 1, 4), (3, 1)], lambda a, b: a + b),
@@ -43,6 +44,7 @@ OPS = [
     ("matmul_batched_2d_weight", [(2, 3, 4), (4, 5)], lambda a, b: a @ b),
     ("matmul_batched_both", [(2, 3, 4), (2, 4, 5)], lambda a, b: a @ b),
     ("linear", [(2, 3, 4), (4, 5), (5,)], T.linear),
+    ("ffn", FFN_SHAPES, T.ffn),
     ("reshape", [(2, 3, 4)], lambda a: a.reshape(6, 4)),
     ("swapaxes", [(2, 3, 4)], lambda a: ref.swapaxes(a, -1, -2)),
     ("transpose", [(2, 3, 4)], lambda a: ref.transpose(a, 1, 2, 0)),
@@ -164,6 +166,7 @@ KEEPS = [
     ("getitem", [(3, 4)], lambda a: a[:, 1:3], (False,)),
     ("sum", [(2, 3, 4)], lambda a: a.sum(axis=1), (False,)),
     ("linear", [(2, 3, 4), (4, 5), (5,)], T.linear, (True, True, False)),
+    ("ffn", FFN_SHAPES, T.ffn, (True, True, False, True, False)),
     ("gelu", [(2, 5)], T.gelu, (True,)),
     ("layer_norm", [(2, 3, 5), (5,), (5,)], T.layer_norm,
      (False, True, False)),
@@ -207,6 +210,18 @@ def test_graph_keeps_an_input_array_only_if_a_vjp_reads_it(name, shapes, op,
     _, want = run(drop_inputs=False)
     for g, ref_g in zip(grads, want):
         np.testing.assert_array_equal(g, ref_g)
+
+
+def test_ffn_vjps_refuse_a_second_gradient():
+    # x, w1 and b1 share one backward through w2 and GELU, valid only for
+    # the first g
+    out = T.ffn(*(Tensor(a, requires_grad=True) for a in _inputs(FFN_SHAPES)))
+    vjp_x, vjp_w1, vjp_b1 = (vjp for _, vjp in out._node.edges[:3])
+    g = np.ones(out.shape)
+    vjp_x(g)
+    vjp_w1(g)
+    with pytest.raises(T.GradientError):
+        vjp_b1(2.0 * g)
 
 
 class TestMatmul:

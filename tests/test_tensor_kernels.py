@@ -1,9 +1,11 @@
 """The blocked kernels give the whole-array expressions' exact bits.
 
 `entqa.tensor` computes GELU, layer norm, dropout, attention's softmax and
-linear's bias in owned buffers, in blocks of rows, and embedding's
-gradient in one bincount. Each forward and each vjp here must equal the
-plain expression in tests/tensor_reference.py bit for bit (signed zeros
+linear's bias in owned buffers, in blocks of rows, embedding's gradient
+in one bincount, and the feed-forward node's weight gradient one batch
+row at a time. Each forward and each vjp here (for the feed-forward
+node, each leaf gradient after backward) must equal the plain
+expression in tests/tensor_reference.py bit for bit (signed zeros
 included), at the model's default and acceptance sizes, for a single
 row, for row counts that are not a multiple of the block, and for
 non-contiguous upstream gradients. No vjp may write into the gradient it
@@ -114,6 +116,36 @@ def test_linear_bits(name, shape):
     x = rng.normal(size=shape)
     w, b = rng.normal(size=(shape[-1], 6)), rng.normal(size=6)
     _check(T.linear, ref.linear, [x, w, b], rng)
+
+
+@pytest.mark.parametrize("name,shape",
+                         [case for case in ROW_SHAPES if len(case[1]) == 3],
+                         ids=[case[0] for case in ROW_SHAPES
+                              if len(case[1]) == 3])
+def test_ffn_bits(name, shape, block):
+    # x is [B, L, d], the hidden width four times d but at most the default
+    # model's 512, and the output d wide again, as in an encoder block
+    d = shape[-1]
+    n = min(4 * d, 512)
+    block(8 * n)
+    rng = np.random.default_rng(7)
+    arrays = [rng.normal(size=shape), rng.normal(size=(d, n)) / np.sqrt(d),
+              rng.normal(size=n), rng.normal(size=(n, d)) / np.sqrt(n),
+              rng.normal(size=d)]
+    for kind, g in _gradients(shape, rng):
+        before = g.copy()
+        ins = [Tensor(a, requires_grad=True) for a in arrays]
+        ref_ins = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.ffn(*ins)
+        x, w1, b1, w2, b2 = ref_ins
+        want = ref.linear(ref.gelu(ref.linear(x, w1, b1)), w2, b2)
+        assert _same_bits(out.data, want.data)
+        assert len(out._node.edges) == len(ins)
+        out.backward(g)
+        want.backward(g)
+        for i, (t, ref_t) in enumerate(zip(ins, ref_ins)):
+            assert _same_bits(t.grad, ref_t.grad), (kind, i)
+        assert _same_bits(g, before), f"backward wrote into the {kind} gradient"
 
 
 # (id, table shape, ids shape); the default token and acceptance entity
