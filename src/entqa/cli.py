@@ -127,7 +127,9 @@ def _git_describe() -> str:
 
 
 def write_manifest(out_dir: Path, command: str, argv: list, resolved: dict,
-                   seed: int | None):
+                   seed: int | None, coverage: dict | None = None):
+    """manifest.json in `out_dir`; `coverage` maps each split a command
+    encoded to the examples handed to the encoder and the pairs it kept."""
     manifest = {
         "command": command,
         "argv": argv,
@@ -137,6 +139,8 @@ def write_manifest(out_dir: Path, command: str, argv: list, resolved: dict,
         "blas_thread_env": {var: os.environ.get(var)
                             for var in BLAS_THREAD_VARS},
     }
+    if coverage is not None:
+        manifest["coverage"] = coverage
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -215,10 +219,12 @@ def cmd_split(args) -> int:
 def _read_splits(args, check):
     """Read --data, --vocab and --split in that order, calling check(vocab)
     before the split file. Returns check's result, the split file's seed
-    and pairs(split, config), a split's encoded pairs. Evidence negatives
-    come from a stream keyed on (the split file's seed, the split), so the
-    split file fixes every split's pairs for every training seed and for
-    `eval`."""
+    and pairs(split, config): a split's encoded pairs and its coverage,
+    the examples handed to the encoder and the pairs it kept (a span
+    question whose answer the truncation cuts off is dropped). Evidence
+    negatives come from a stream keyed on (the split file's seed, the
+    split), so the split file fixes every split's pairs for every training
+    seed and for `eval`."""
     examples = list(read_dataset(args.data))
     vocab = Vocab.load(args.vocab)
     checked = check(vocab)
@@ -230,9 +236,12 @@ def _read_splits(args, check):
         if config.mode == "evidence":
             rng = np.random.default_rng([assignment.seed,
                                          SPLITS.index(split)])
-            return tr.encode_evidence_examples(
-                tr.make_evidence_examples(parts[split], rng), vocab, L)[0]
-        return tr.encode_examples(parts[split], vocab, L)
+            handed = tr.make_evidence_examples(parts[split], rng)
+            kept = tr.encode_evidence_examples(handed, vocab, L)[0]
+        else:
+            handed = parts[split]
+            kept = tr.encode_examples(handed, vocab, L)
+        return kept, {"examples": len(handed), "pairs": len(kept)}
     return checked, assignment.seed, pairs
 
 
@@ -245,19 +254,23 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = tr.apply_system(model_config, args.system)
-    result = tr.train(pairs("train", config), pairs("val", config),
-                      model_config, train_config,
+    (train_pairs, train_cov), (val_pairs, val_cov) = (
+        pairs("train", config), pairs("val", config))
+    coverage = {"train": train_cov, "val": val_cov}
+    result = tr.train(train_pairs, val_pairs, model_config, train_config,
                       log_path=out / "train_log.jsonl")
     result.model_config.save(out / "model_config.json")
     save_checkpoint(out / "model.ckpt", result.params,
                     result.model_config.digest())
     resolved = {"model": dataclasses.asdict(result.model_config),
                 "train": dataclasses.asdict(train_config)}
-    write_manifest(out, "train", args.argv, resolved, train_config.seed)
+    write_manifest(out, "train", args.argv, resolved, train_config.seed,
+                   coverage)
     summary = {"best_val_f1": result.best_val_f1,
                "steps": len(result.log),
                "stopped_early": result.stopped_early,
-               "aborted": result.aborted}
+               "aborted": result.aborted,
+               "coverage": coverage}
     _emit(summary, args.json,
           f"trained {train_config.system}: best val F1 "
           f"{result.best_val_f1:.4f} over {len(result.log)} steps"
@@ -285,7 +298,8 @@ def cmd_eval(args) -> int:
                 f"checkpoint was trained on {config.vocab_size}",
                 EXIT_INTEGRITY)
     _, seed, pairs = _read_splits(args, check_vocab)
-    report = tr.evaluate_pairs(params, config, pairs(args.subset, config))
+    scored, coverage = pairs(args.subset, config)
+    report = tr.evaluate_pairs(params, config, scored)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -293,7 +307,8 @@ def cmd_eval(args) -> int:
         if report.confusion:
             report.save_confusion_csv(out / "confusion.csv")
         write_manifest(out, "eval", args.argv,
-                       {"run": str(run_dir), "subset": args.subset}, seed)
+                       {"run": str(run_dir), "subset": args.subset}, seed,
+                       {args.subset: coverage})
     print(json.dumps(report.to_json(), sort_keys=True))
     return EXIT_OK
 

@@ -25,14 +25,18 @@ gradient, for as long as the tensor lives.
 
 Each vjp captures only what it reads: ``linear`` is one node for
 ``x @ w + b`` that keeps x and w, ``ffn`` one node for
-``linear(gelu(linear(x, w1, b1)), w2, b2)`` that keeps x, w1, w2, the
-pre-activation and its normal cdf but not GELU's output, which backward
-recomputes, ``attention`` one node that takes [B, L, d] projections,
-splits and merges the heads itself and holds q, k, v and the softmax
-probabilities, ``dropout`` a boolean mask, ``layer_norm`` the normalized
-rows but not its input, and ``sum`` and indexing only their input's
-shape. Vjps of one node that share a product (attention's head
-gradients, ``ffn``'s gradient through GELU) compute it once, through
+``linear(gelu(linear(x, w1, b1)), w2, b2)`` that keeps x, w1, b1, w2
+and the pre-activation's normal cdf but neither the pre-activation nor
+GELU's output, which backward recomputes, ``attention`` one node that
+takes [B, L, d] projections, splits and merges the heads itself and
+holds q, k, v and the mask bias but not the softmax probabilities,
+which backward recomputes, ``dropout`` a boolean mask, ``layer_norm``
+the normalized rows but not its input, and ``sum`` and indexing only
+their input's shape. A recomputation repeats forward's operations on
+the same arrays in the same order, so it has forward's bits (at a
+fixed BLAS thread count). Vjps of one node that share a product
+(attention's probabilities and head gradients, ``ffn``'s pre-activation
+and its gradient through GELU) compute it once, through
 ``_once_per_gradient``. ``backward`` frees the graph as it walks it:
 once a node has passed its gradient to its inputs it drops its gradient
 and edges and stops requiring a gradient, so a result can be
@@ -50,7 +54,9 @@ their order, so the bits equal those of the whole-array expression
 (tests/tensor_reference.py holds those expressions). A vjp never writes
 into the gradient ``g`` it is handed, nor into anything it keeps:
 ``g`` may be shared with another node (``a + b`` hands both inputs the
-same array, which each may adopt as its gradient).
+same array, which each may adopt as its gradient). A node adopts its
+first gradient, allocates the sum at its second and adds later ones
+into that sum, which it owns; it never writes an adopted array.
 """
 
 from __future__ import annotations
@@ -96,22 +102,27 @@ class _Node:
     backward accumulates for it, and the ``(input node, vjp)`` edges of the
     op that made it (none for a leaf). It never holds the value."""
 
-    __slots__ = ("shape", "grad", "edges", "requires_grad")
+    __slots__ = ("shape", "grad", "edges", "requires_grad", "owns_grad")
 
     def __init__(self, shape: tuple, edges: tuple = ()):
         self.shape = shape
         self.grad = None
         self.edges = edges
         self.requires_grad = True
+        self.owns_grad = False
 
     def accumulate(self, g: np.ndarray):
         # adopt the first gradient, copied only when not C-contiguous (as a
-        # broadcast view is); `g` may be shared with another node, so
-        # neither it nor the adopted buffer is ever written in place
+        # broadcast view is); `g` may be shared with another node, so an
+        # adopted array is never written in place. The second gradient
+        # allocates the sum, which the node owns and adds later ones into
         if self.grad is None:
             self.grad = np.asarray(g, order="C")
+        elif self.owns_grad:
+            self.grad += g
         else:
             self.grad = self.grad + g
+            self.owns_grad = True
 
 
 class Tensor:
@@ -148,7 +159,7 @@ class Tensor:
 
     @grad.setter
     def grad(self, g):   # a tensor that requires no gradient has no node
-        self._node.grad = g
+        self._node.grad, self._node.owns_grad = g, False
 
     def item(self) -> float:
         return float(self.data)
@@ -371,31 +382,39 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """linear(gelu(linear(x, w1, b1)), w2, b2) as one node, with the bits of
     those three nodes.
 
-    Keeps x, w1, w2, the pre-activation a and its normal cdf, but not
-    GELU's output h = a * cdf: w2's gradient recomputes h one batch row at
-    a time.
+    Keeps x, w1, b1, w2 and the pre-activation's normal cdf, but neither
+    the pre-activation a = x @ w1 + b1 nor GELU's output h = a * cdf.
+    Backward recomputes a once, with forward's matmul on the same arrays
+    (so the same bits at a fixed BLAS thread count), for GELU's gradient
+    and for w2's gradient, which recomputes h one batch row at a time.
     """
-    xd, w1d, w2d = x.data, w1.data, w2.data
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
     _check_matmul(xd, w1d)
-    a = np.matmul(xd, w1d)
-    a += b1.data
+
+    def pre_activation():
+        a = np.matmul(xd, w1d)
+        a += b1d
+        return a
+
+    a = pre_activation()
     _check_matmul(a, w2d)
-    A = _rows(a)
-    h, C = _gelu_fill(A)
+    h, C = _gelu_fill(_rows(a))
     out = np.matmul(h.reshape(a.shape), w2d)
     out += b2.data
-    cdf = C.reshape(a.shape)
+    shape = a.shape
 
     @_once_per_gradient
-    def grad_a(g):   # g @ w2^T, then back through GELU
+    def grad_a(g):   # (a, g @ w2^T back through GELU)
+        a = pre_activation()
         dh = np.matmul(g, w2d.swapaxes(-1, -2))
-        return _gelu_grad(A, C, _rows(dh)).reshape(a.shape)
+        return a, _gelu_grad(_rows(a), C, _rows(dh)).reshape(shape)
 
     def vjp_w2(g):
         # the batch rows' h_i^T g_i, added in row order as _unbroadcast
         # sums the batched product
+        a, cdf = grad_a(g)[0], C.reshape(shape)
         rows = (np.matmul((a[i] * cdf[i]).swapaxes(-1, -2), g[i])
-                for i in np.ndindex(a.shape[:-2]))
+                for i in np.ndindex(shape[:-2]))
         gw = next(rows)
         for p in rows:
             gw += p
@@ -403,9 +422,9 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     return Tensor._make(
         out,
-        ((x, lambda g: np.matmul(grad_a(g), w1d.swapaxes(-1, -2))),
-         (w1, lambda g: np.matmul(xd.swapaxes(-1, -2), grad_a(g))),
-         (b1, grad_a),
+        ((x, lambda g: np.matmul(grad_a(g)[1], w1d.swapaxes(-1, -2))),
+         (w1, lambda g: np.matmul(xd.swapaxes(-1, -2), grad_a(g)[1])),
+         (b1, lambda g: grad_a(g)[1]),
          (w2, vjp_w2),
          (b2, lambda g: g)))
 
@@ -558,7 +577,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     d // heads features, every head attends on its own, and the heads are
     merged back into a [B, L, d] result. `mask` is a [B, L] boolean key
     mask whose False positions are excluded from normalization. Backward
-    keeps q, k, v and the softmax probabilities only.
+    keeps q, k, v and the [B, L] mask bias only: it recomputes the
+    [B, H, L, L] softmax probabilities once, with forward's operations in
+    forward's order, so they have the same bits.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
@@ -575,27 +596,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     qd, kt, vd = split(q.data), split(k.data).swapaxes(-1, -2), split(v.data)
     scale = 1.0 / math.sqrt(dh)
-    if mask is not None:
-        # bias applies along the key axis, for every head and query
-        bias = np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG)
-    # y = softmax(q k^T * scale + bias) over keys, in the scores' buffer
-    y = np.matmul(qd, kt)
-    blocks = _row_blocks(y)
-    for rows in blocks:
-        yb = y[rows]
-        yb *= scale
-        if mask is not None:
-            yb += bias[rows, None, None, :]
-        yb -= yb.max(axis=-1, keepdims=True)
-        np.exp(yb, out=yb)
-        yb /= yb.sum(axis=-1, keepdims=True)
+    # bias applies along the key axis, for every head and query
+    bias = (None if mask is None else
+            np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG))
+
+    def probabilities():
+        # softmax(q k^T * scale + bias) over keys, in the scores' buffer;
+        # a row's operations do not depend on the blocks
+        y = np.matmul(qd, kt)
+        for rows in _row_blocks(y):
+            yb = y[rows]
+            yb *= scale
+            if bias is not None:
+                yb += bias[rows, None, None, :]
+            yb -= yb.max(axis=-1, keepdims=True)
+            np.exp(yb, out=yb)
+            yb /= yb.sum(axis=-1, keepdims=True)
+        return y
 
     @_once_per_gradient
     def head_grads(g):
-        # (g split into heads, d(loss)/d(scaled scores))
+        # (g split into heads, d(loss)/d(scaled scores), the probabilities)
+        y = probabilities()
         gh = np.ascontiguousarray(split(g))
         # y * (gy - sum(gy * y)) * scale, in gy's buffer
         gy = np.matmul(gh, vd.swapaxes(-1, -2))
+        blocks = _row_blocks(gy)
         scratch = np.empty_like(gy[blocks[0]])
         for rows in blocks:
             gb, yb = gy[rows], y[rows]
@@ -604,14 +630,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             gb -= t.sum(axis=-1, keepdims=True)
             gb *= yb
             gb *= scale
-        return gh, gy
+        return gh, gy, y
 
     return Tensor._make(
-        merge(np.matmul(y, vd)),
+        merge(np.matmul(probabilities(), vd)),
         ((q, lambda g: merge(np.matmul(head_grads(g)[1], kt.swapaxes(-1, -2)))),
          (k, lambda g: merge(np.matmul(qd.swapaxes(-1, -2),
                                        head_grads(g)[1]).swapaxes(-1, -2))),
-         (v, lambda g: merge(np.matmul(y.swapaxes(-1, -2), head_grads(g)[0])))))
+         (v, lambda g: merge(np.matmul(head_grads(g)[2].swapaxes(-1, -2),
+                                       head_grads(g)[0])))))
 
 
 # -- gradient checking --------------------------------------------------------

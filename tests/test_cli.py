@@ -251,6 +251,38 @@ class TestTrainEval:
         assert entries
         assert {"step", "lr", "L_span", "L_lf", "L_total"} <= set(entries[0])
 
+    def test_train_and_eval_record_coverage(self, workspace, tmp_path,
+                                            capsys):
+        # each split's examples handed to the encoder and pairs it kept,
+        # recomputed here from the split and the run's sequence length
+        data, split = workspace / "data", workspace / "pl" / "split.json"
+        examples = list(read_dataset(data / "corpus.jsonl"))
+        parts = dict(zip(cli.SPLITS, cli.filter_examples(
+            examples, cli.SplitAssignment.load(split))))
+        vocab = Vocab.load(data / "vocab.txt")
+        want = {name: {"examples": len(part),
+                       "pairs": len(tr.encode_examples(part, vocab, 20))}
+                for name, part in parts.items()}
+        assert all(c["pairs"] < c["examples"] for c in want.values())
+        run, scored = tmp_path / "run", tmp_path / "scored"
+        common = ["--data", str(data / "corpus.jsonl"),
+                  "--vocab", str(data / "vocab.txt"), "--split", str(split)]
+        assert main(["train", *common, "--system", "baseline", "--json",
+                     "--set", "model.hidden_dim=8", "--set", "model.layers=1",
+                     "--set", "model.heads=2", "--set", "model.max_seq_len=20",
+                     "--set", "model.ffn_mult=1", "--set", "train.epochs=1",
+                     "--out", str(run)]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        manifest = json.loads((run / "manifest.json").read_text())
+        train_cov = {"train": want["train"], "val": want["val"]}
+        assert summary["coverage"] == manifest["coverage"] == train_cov
+        assert main(["eval", "--run", str(run), *common, "--subset", "test",
+                     "--out", str(scored)]) == 0
+        manifest = json.loads((scored / "manifest.json").read_text())
+        assert manifest["coverage"] == {"test": want["test"]}
+        report = json.loads((scored / "report.json").read_text())
+        assert report["n_examples"] == want["test"]["pairs"]
+
     def test_eval_prints_report_json(self, workspace, capsys):
         code = main(["eval", "--run", str(workspace / "run"),
                      "--data", str(workspace / "data" / "corpus.jsonl"),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -132,6 +133,31 @@ def test_adopted_gradient_is_never_written_in_place():
     np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
 
 
+def test_third_gradient_adds_into_the_owned_sum():
+    # the second gradient allocates the sum and later ones add into it, with
+    # the bits of ((g1 + g2) + g3); no gradient handed in is written
+    rng = np.random.default_rng(13)
+    g1, g2, g3 = (rng.normal(size=(4, 5)) for _ in range(3))
+    before = [g.copy() for g in (g1, g2, g3)]
+    node = T._Node((4, 5))
+    for g in (g1, g2, g3):
+        node.accumulate(g)
+    assert np.array_equal(node.grad.view(np.uint64),
+                          ((g1 + g2) + g3).view(np.uint64))
+    for g, b in zip((g1, g2, g3), before):
+        np.testing.assert_array_equal(g, b)
+
+
+def test_shared_gradient_survives_a_third_consumer():
+    # a adopts the array `a + b` hands both inputs, then takes two more
+    # gradients; b's copy of that array must not change
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    ((a + b) + a * 2.0 + a * 3.0).sum().backward()
+    np.testing.assert_array_equal(a.grad, [6.0, 6.0, 6.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
 def test_second_backward_raises():
     w = Tensor(np.ones(3), requires_grad=True)
     loss = (w * w).sum()
@@ -166,7 +192,7 @@ KEEPS = [
     ("getitem", [(3, 4)], lambda a: a[:, 1:3], (False,)),
     ("sum", [(2, 3, 4)], lambda a: a.sum(axis=1), (False,)),
     ("linear", [(2, 3, 4), (4, 5), (5,)], T.linear, (True, True, False)),
-    ("ffn", FFN_SHAPES, T.ffn, (True, True, False, True, False)),
+    ("ffn", FFN_SHAPES, T.ffn, (True, True, True, True, False)),
     ("gelu", [(2, 5)], T.gelu, (True,)),
     ("layer_norm", [(2, 3, 5), (5,), (5,)], T.layer_norm,
      (False, True, False)),
@@ -210,6 +236,41 @@ def test_graph_keeps_an_input_array_only_if_a_vjp_reads_it(name, shapes, op,
     _, want = run(drop_inputs=False)
     for g, ref_g in zip(grads, want):
         np.testing.assert_array_equal(g, ref_g)
+
+
+def _held_by_node(op, inputs) -> tuple:
+    """(bytes an op's result and node hold after forward beyond its output
+    array, the output) with the caller holding `inputs`."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = op(*inputs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held - out.data.nbytes, out
+
+
+def test_attention_node_holds_no_probabilities():
+    B, L, d, heads = 2, 64, 32, 4
+    rng = np.random.default_rng(14)
+    qkv = [Tensor(rng.normal(size=(B, L, d)), requires_grad=True)
+           for _ in range(3)]
+    mask = np.arange(L)[None, :] < np.array([[L], [L // 2]])
+    held, out = _held_by_node(
+        lambda q, k, v: T.attention(q, k, v, heads, mask=mask), qkv)
+    assert out.requires_grad
+    assert held < B * heads * L * L * 8
+
+
+def test_ffn_node_holds_its_cdf_and_no_pre_activation():
+    B, L, d, n = 2, 64, 16, 64
+    rng = np.random.default_rng(15)
+    ins = [Tensor(rng.normal(size=s), requires_grad=True)
+           for s in [(B, L, d), (d, n), (n,), (n, d), (d,)]]
+    held, out = _held_by_node(T.ffn, ins)
+    assert out.requires_grad
+    assert B * L * n * 8 <= held < 2 * B * L * n * 8
 
 
 def test_ffn_vjps_refuse_a_second_gradient():

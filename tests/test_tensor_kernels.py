@@ -9,7 +9,9 @@ expression in tests/tensor_reference.py bit for bit (signed zeros
 included), at the model's default and acceptance sizes, for a single
 row, for row counts that are not a multiple of the block, and for
 non-contiguous upstream gradients. No vjp may write into the gradient it
-is handed.
+is handed. What attention (its probabilities) and the feed-forward node
+(its pre-activation) recompute in backward must keep those bits when the
+block size changes between forward and backward.
 """
 
 import numpy as np
@@ -210,3 +212,56 @@ def test_row_blocks_cover_every_row_once():
         assert covered == list(range(len(a)))
         step = max(1, T._BLOCK_BYTES // max(1, a[0:1].nbytes))
         assert all(rows.stop - rows.start <= step for rows in blocks)
+
+
+# (op, [B, L, d], heads); attention recomputes its probabilities and ffn
+# its pre-activation in backward
+RECOMPUTED = [
+    ("attention", (5, 7, 6), 3),
+    ("attention", (16, 128, 128), 4),
+    ("ffn", (2, 3, 5), None),
+    ("ffn", (16, 128, 128), None),
+]
+
+
+@pytest.mark.parametrize("name,shape,heads", RECOMPUTED,
+                         ids=[f"{c[0]}_{'x'.join(map(str, c[1]))}"
+                              for c in RECOMPUTED])
+@pytest.mark.parametrize("backward_block", [1, 1 << 26],
+                         ids=["row_blocks", "one_block"])
+def test_recomputed_bits_with_another_block_in_backward(
+        name, shape, heads, backward_block, monkeypatch):
+    # forward at the module's block size, backward at another: what
+    # backward recomputes must still give the reference's bits
+    rng = np.random.default_rng(8)
+    B, L, d = shape
+    if name == "attention":
+        arrays = [rng.normal(size=shape) for _ in range(3)]
+        mask = _key_mask(rng, B, L)
+
+        def op(q, k, v):
+            return T.attention(q, k, v, heads, mask)
+
+        def ref_op(q, k, v):
+            return ref.attention(q, k, v, heads, mask)
+    else:
+        n = 4 * d
+        arrays = [rng.normal(size=shape), rng.normal(size=(d, n)),
+                  rng.normal(size=n), rng.normal(size=(n, d)),
+                  rng.normal(size=d)]
+        op = T.ffn
+
+        def ref_op(x, w1, b1, w2, b2):
+            return ref.linear(ref.gelu(ref.linear(x, w1, b1)), w2, b2)
+    for kind, g in _gradients(shape, rng):
+        ins = [Tensor(a, requires_grad=True) for a in arrays]
+        ref_ins = [Tensor(a, requires_grad=True) for a in arrays]
+        with monkeypatch.context() as patch:
+            out = op(*ins)
+            patch.setattr(T, "_BLOCK_BYTES", backward_block)
+            out.backward(g)
+        want = ref_op(*ref_ins)
+        want.backward(g)
+        assert _same_bits(out.data, want.data)
+        for i, (t, ref_t) in enumerate(zip(ins, ref_ins)):
+            assert _same_bits(t.grad, ref_t.grad), (kind, i)
