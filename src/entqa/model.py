@@ -52,6 +52,8 @@ class ModelConfig:
                      "max_answer_len", "ffn_mult"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.entity_attention_layers < 0:
+            raise ValueError("entity_attention_layers must be >= 0")
         if self.hidden_dim % self.heads:
             raise ValueError("hidden_dim must be divisible by heads")
         if self.entity_dim % self.entity_heads:
@@ -345,20 +347,18 @@ class LossParts:
 
 
 def _mix_lf(outputs: HeadOutputs, main: Tensor, lf_ids,
-            omega: float) -> tuple[Tensor, Tensor]:
-    """(omega * L_lf + (1 - omega) * main, L_lf); L_lf is 0 without gold
-    logical-form ids, which only omega = 0 allows. At omega = 0 L_lf is only
-    logged: it is computed on a gradient-free view of the LF logits."""
+            omega: float) -> tuple[Tensor, float | None]:
+    """(omega * L_lf + (1 - omega) * main, L_lf). At omega = 0 the loss is
+    `main` and L_lf is None: nothing is computed that the loss does not
+    use. omega > 0 requires gold logical-form ids."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must be in [0, 1], got {omega}")
-    if lf_ids is None and omega > 0:
-        raise ValueError("omega > 0 requires gold logical-form ids")
+    if omega == 0:
+        return main, None
     if lf_ids is None:
-        l_lf = Tensor(0.0)
-    else:
-        logits = outputs.lf_logits if omega > 0 else Tensor(outputs.lf_logits.data)
-        l_lf = T.softmax_cross_entropy(logits, lf_ids)
-    return omega * l_lf + (1.0 - omega) * main, l_lf
+        raise ValueError("omega > 0 requires gold logical-form ids")
+    l_lf = T.softmax_cross_entropy(outputs.lf_logits, lf_ids)
+    return omega * l_lf + (1.0 - omega) * main, l_lf.item()
 
 
 def multitask_loss(outputs: HeadOutputs, answer_start, answer_end,
@@ -369,7 +369,7 @@ def multitask_loss(outputs: HeadOutputs, answer_start, answer_end,
     l_end = T.softmax_cross_entropy(outputs.end_logits, answer_end)
     l_span = (l_start + l_end) * 0.5
     total, l_lf = _mix_lf(outputs, l_span, lf_ids, omega)
-    return LossParts(total=total, span=l_span.item(), lf=l_lf.item())
+    return LossParts(total=total, span=l_span.item(), lf=l_lf)
 
 
 def evidence_loss(outputs: HeadOutputs, evidence_labels, lf_ids,
@@ -378,7 +378,7 @@ def evidence_loss(outputs: HeadOutputs, evidence_labels, lf_ids,
     l_ev = T.binary_cross_entropy_with_logits(outputs.evidence_logit,
                                               evidence_labels)
     total, l_lf = _mix_lf(outputs, l_ev, lf_ids, omega)
-    return LossParts(total=total, evidence=l_ev.item(), lf=l_lf.item())
+    return LossParts(total=total, evidence=l_ev.item(), lf=l_lf)
 
 
 # ---------------------------------------------------------------------------

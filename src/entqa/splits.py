@@ -163,33 +163,33 @@ def make_assignment(notes, templates, mode: str, seed: int,
 
 
 def filter_examples(examples, assignment: SplitAssignment):
-    """Route examples to train/val/test per the assignment.
+    """Route examples to train/val/test per the assignment, in order.
 
-    pl mode drops train-note examples whose template is held out (and
-    vice versa); r mode trains on every template. Val/test always use
-    held-out templates only, so the two modes share an evaluation set.
+    A train note keeps its train-side templates, or every template in r
+    mode; a val or test note keeps its held-out templates, so the two modes
+    share an evaluation set. An example whose template or note the
+    assignment does not place raises DatasetError naming both ids.
     """
-    train_tids = {tid for tids in assignment.templates_train.values()
-                  for tid in tids}
-    eval_tids = {tid for tids in assignment.templates_eval.values()
-                 for tid in tids}
-    known = train_tids | eval_tids
-    train, val, test = [], [], []
+    part_of = {note: part for part, notes in enumerate((
+        assignment.train_notes, assignment.val_notes, assignment.test_notes))
+        for note in notes}
+    train_side = {tid: side for side, by_lf in (
+        (True, assignment.templates_train), (False, assignment.templates_eval))
+        for tids in by_lf.values() for tid in tids}
+    r_mode = assignment.mode == "r"
+    parts = ([], [], [])
     for ex in examples:
-        if ex.question_template_id not in known:
-            raise SplitError(
-                f"example {ex.id} references unknown template "
-                f"{ex.question_template_id!r}")
-        if ex.note_id in assignment.train_notes:
-            if assignment.mode == "r" or ex.question_template_id in train_tids:
-                train.append(ex)
-        elif ex.note_id in assignment.val_notes:
-            if ex.question_template_id in eval_tids:
-                val.append(ex)
-        elif ex.note_id in assignment.test_notes:
-            if ex.question_template_id in eval_tids:
-                test.append(ex)
-    return train, val, test
+        tid, note = ex.question_template_id, ex.note_id
+        if tid not in train_side:
+            raise DatasetError(f"example {ex.id} references unknown "
+                               f"template {tid!r}")
+        if note not in part_of:
+            raise DatasetError(f"example {ex.id} is on note {note!r}, which "
+                               "no part of the split holds")
+        part = part_of[note]
+        if train_side[tid] == (part == 0) or (part == 0 and r_mode):
+            parts[part].append(ex)
+    return parts
 
 
 def leakage_audit(train, evals, assignment: SplitAssignment) -> dict:

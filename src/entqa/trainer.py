@@ -256,7 +256,7 @@ def train(train_pairs, val_pairs, model_config: ModelConfig,
 
 
 def _validation_score(params, config, val_pairs) -> float:
-    report = evaluate_pairs(params, config, val_pairs)
+    report = evaluate_pairs(params, config, val_pairs, include_lf=False)
     if config.mode == "span":
         return report.token_f1
     return report.evidence.f1

@@ -350,7 +350,10 @@ def test_criterion_9_loss_algebra():
         assert abs(parts.total.item()
                    - (omega * ln2 + (1 - omega) * ln2)) < 1e-12
         assert abs(parts.span - ln2) < 1e-12
-        assert abs(parts.lf - ln2) < 1e-12
+        if omega == 0:   # L_lf is not computed at omega = 0
+            assert parts.lf is None
+        else:
+            assert abs(parts.lf - ln2) < 1e-12
     # asymmetric components: three-way LF CE vs binary span CE
     span_out2 = mdl.HeadOutputs(start_logits=Tensor([[0.0, 0.0]]),
                                 end_logits=Tensor([[0.0, 0.0]]),

@@ -604,6 +604,63 @@ class TestTrainEval:
         assert "not_a_field" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def mismatched(tmp_path_factory):
+    """A 10-note corpus with its split and a run trained on them, and a
+    20-note corpus whose notes 10-19 that split does not place."""
+    root = tmp_path_factory.mktemp("mismatch")
+    for n in (10, 20):
+        assert main(["gen-data", "--seed", "0", "--num-notes", str(n),
+                     "--out", str(root / f"d{n}")]) == 0
+    assert main(["split", "--mode", "pl", "--seed", "0",
+                 "--data", str(root / "d10" / "corpus.jsonl"),
+                 "--out", str(root / "split")]) == 0
+    assert main(["train", "--data", str(root / "d10" / "corpus.jsonl"),
+                 "--vocab", str(root / "d10" / "vocab.txt"),
+                 "--split", str(root / "split" / "split.json"),
+                 "--system", "baseline", "--set", "model.hidden_dim=8",
+                 "--set", "model.layers=1", "--set", "model.heads=2",
+                 "--set", "model.max_seq_len=48", "--set", "model.ffn_mult=1",
+                 "--set", "train.epochs=1", "--out", str(root / "run")]) == 0
+    return root
+
+
+def _unknown_template(root, tmp_path):
+    """The 10-note corpus with its first record's template renamed."""
+    lines = (root / "d10" / "corpus.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    lines[0] = json.dumps({**first, "question_template_id": "lf0_nope"})
+    data = tmp_path / "corpus.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    return data, f"example {first['id']} references unknown template " \
+                 "'lf0_nope'"
+
+
+def _unplaced_note(root, tmp_path):
+    """The 20-note corpus, whose first note-10 example no part holds."""
+    data = root / "d20" / "corpus.jsonl"
+    first = next(ex for ex in read_dataset(data) if ex.note_id == 10)
+    return data, f"example {first.id} is on note 10, which no part"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("corpus", [_unplaced_note, _unknown_template],
+                         ids=["unplaced_note", "unknown_template"])
+def test_corpus_that_disagrees_with_its_split_exits_3(
+        mismatched, tmp_path, capsys, command, corpus):
+    # every example must fall in a part the split file names, or a split
+    # made for a smaller corpus would silently drop the rest of this one
+    data, named = corpus(mismatched, tmp_path)
+    args = {"train": ["train", "--system", "baseline"],
+            "eval": ["eval", "--run", str(mismatched / "run")]}[command]
+    assert main(args + ["--data", str(data),
+                        "--vocab", str(mismatched / "d10" / "vocab.txt"),
+                        "--split", str(mismatched / "split" / "split.json"),
+                        "--out", str(tmp_path / "out")]) == 3
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _training_args(workspace, tmp_path, command, system="fused"):
     data = workspace / "data"
     args = [command, "--data", str(data / "corpus.jsonl"),
@@ -833,7 +890,8 @@ def test_mistyped_value_exits_2(workspace, tmp_path, capsys, monkeypatch,
     ("train.epochs", 0), ("train.batch_size", 0), ("train.patience", 0),
     ("train.lr", -1e-3), ("train.weight_decay", -1.0),
     ("model.dropout", 1.0), ("model.dropout", -0.5),
-    ("model.entity_heads", 0), ("model.ffn_mult", 0), ("model.ffn_mult", -1)])
+    ("model.entity_heads", 0), ("model.ffn_mult", 0), ("model.ffn_mult", -1),
+    ("model.entity_attention_layers", -1)])
 def test_out_of_range_value_exits_2(workspace, tmp_path, capsys, monkeypatch,
                                     command, key, value):
     _no_training(monkeypatch)

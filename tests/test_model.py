@@ -49,14 +49,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("name,value", [
         ("dropout", 1.0), ("dropout", -0.5), ("entity_heads", 0),
-        ("ffn_mult", 0), ("ffn_mult", -1)])
+        ("ffn_mult", 0), ("ffn_mult", -1), ("entity_attention_layers", -1)])
     def test_out_of_range_is_refused(self, name, value):
         with pytest.raises(ValueError, match=name):
             ModelConfig(vocab_size=10, **{name: value})
 
     def test_range_edges_are_accepted(self):
         ModelConfig(vocab_size=10, dropout=0.0, entity_heads=1,
-                    entity_dim=7, ffn_mult=1)
+                    entity_dim=7, ffn_mult=1, entity_attention_layers=0)
 
     def test_digest_stable_and_sensitive(self):
         a = ModelConfig(vocab_size=10)
@@ -207,9 +207,10 @@ class TestHeadsAndLosses:
         parts = mdl.multitask_loss(out, batch.answer_start, batch.answer_end,
                                    batch.lf_ids, omega=0.0)
         parts.total.backward()
-        # L_lf is still logged, but nothing flows back through the LF head
-        assert parts.lf == T.softmax_cross_entropy(out.lf_logits,
-                                                   batch.lf_ids).item()
+        # L_lf is neither computed nor logged, and nothing flows back
+        # through the LF head
+        assert parts.lf is None
+        assert parts.total.item() == parts.span
         assert small_params["lf.w"].grad is None
         assert small_params["lf.b"].grad is None
         assert np.abs(small_params["span.ws"].grad).max() > 0.0

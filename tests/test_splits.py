@@ -1,6 +1,7 @@
 import pytest
 
-from entqa.corpus import build_templates, generate_corpus, instantiate_questions
+from entqa.corpus import (DatasetError, build_templates, generate_corpus,
+                          instantiate_questions)
 from entqa.splits import (SplitAssignment, SplitError, filter_examples,
                           leakage_audit, make_assignment, partition_templates,
                           split_notes)
@@ -94,10 +95,44 @@ class TestFilterExamples:
         bad = examples[0]
         bad.question_template_id = "lf0_nope"
         try:
-            with pytest.raises(SplitError, match="nope"):
+            with pytest.raises(DatasetError, match=f"{bad.id}.*nope"):
                 filter_examples(examples, asn)
         finally:
             bad.question_template_id = "lf0_t0"
+
+    @pytest.mark.parametrize("mode", ["pl", "r"])
+    def test_unplaced_note_raises(self, small_corpus, mode):
+        # a split made from half the notes places none of the other half's
+        notes, examples = small_corpus
+        asn = make_assignment(notes[:15], build_templates(), mode, seed=4)
+        first = next(ex for ex in examples if ex.note_id >= 15)
+        with pytest.raises(DatasetError,
+                           match=f"{first.id} is on note {first.note_id}"):
+            filter_examples(examples, asn)
+        placed = [ex for ex in examples if ex.note_id < 15]
+        assert sum(map(len, filter_examples(placed, asn))) > 0
+
+    @pytest.mark.parametrize("mode", ["pl", "r"])
+    def test_routes_as_the_three_branch_rule(self, mode):
+        # the acceptance corpus, five split seeds: each part holds exactly
+        # the examples the rule below keeps, in corpus order
+        notes = generate_corpus(seed=0, num_notes=110)
+        examples = instantiate_questions(notes, build_templates())
+        for seed in range(5):
+            asn = make_assignment(notes, build_templates(), mode, seed=seed)
+            train_tids = {t for ts in asn.templates_train.values() for t in ts}
+            eval_tids = {t for ts in asn.templates_eval.values() for t in ts}
+            want = (
+                [ex for ex in examples if ex.note_id in asn.train_notes and (
+                    mode == "r" or ex.question_template_id in train_tids)],
+                [ex for ex in examples if ex.note_id in asn.val_notes
+                 and ex.question_template_id in eval_tids],
+                [ex for ex in examples if ex.note_id in asn.test_notes
+                 and ex.question_template_id in eval_tids])
+            got = filter_examples(examples, asn)
+            assert [[ex.id for ex in part] for part in got] == \
+                [[ex.id for ex in part] for part in want], seed
+            assert all(want), seed
 
     def test_empty_corpus(self, small_corpus):
         notes, _ = small_corpus
