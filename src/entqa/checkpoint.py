@@ -111,7 +111,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
 
 
 def restore_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):
-    """Copy loaded arrays into live parameter tensors, name-checked."""
+    """Copy loaded arrays into live parameter tensors, name-checked, and
+    drop the gradients they held, which belong to the replaced data."""
     missing = set(params) - set(arrays)
     extra = set(arrays) - set(params)
     if missing or extra:
@@ -124,3 +125,5 @@ def restore_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):
                 f"shape mismatch for {name}: {p.data.shape} vs "
                 f"{arrays[name].shape}")
         p.data = arrays[name].copy()
+        if p.requires_grad:
+            p.grad = None

@@ -248,17 +248,14 @@ def _dropout(x: Tensor, config: ModelConfig, rng, train) -> Tensor:
 
 
 def _attn_block(x: Tensor, params, prefix, heads, mask, config, rng, train):
-    def lin(h, w, b):
-        return T.linear(h, params[f"{prefix}.{w}"], params[f"{prefix}.{b}"])
+    def p(*names):
+        return (params[f"{prefix}.{n}"] for n in names)
 
-    xn = T.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    att = T.attention(lin(xn, "attn.wq", "attn.bq"),
-                      xn.matmul(params[f"{prefix}.attn.wk"]),
-                      lin(xn, "attn.wv", "attn.bv"), heads, mask)
-    x = x + _dropout(lin(att, "attn.wo", "attn.bo"), config, rng, train)
-    xn2 = T.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    h = T.ffn(xn2, *(params[f"{prefix}.ffn.{n}"]
-                     for n in ("w1", "b1", "w2", "b2")))
+    att = T.attention(x, *p("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk",
+                            "attn.wv", "attn.bv", "attn.wo", "attn.bo"),
+                      heads, mask)
+    x = x + _dropout(att, config, rng, train)
+    h = T.ffn(x, *p("ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"))
     return x + _dropout(h, config, rng, train)
 
 

@@ -2,11 +2,11 @@
 
 Just enough machinery to train a small transformer QA stack on CPU, and
 no op the package does not call: broadcast ``+`` and ``*``, stacked
-matmul, ``reshape``, indexing, ``sum``, ``linear``, ``gelu``, the
-feed-forward sublayer ``ffn``, ``layer_norm``, ``embedding``,
-``dropout``, multi-head ``attention`` and the fused cross-entropy losses,
-which ``gradcheck`` audits by finite differences. No GPU, no
-broadcasting rules beyond what the model needs.
+matmul, ``reshape``, indexing, ``sum``, ``linear``, ``gelu``,
+``layer_norm``, the pre-norm sublayers ``attention`` and ``ffn``,
+``embedding``, ``dropout`` and the fused cross-entropy losses, which
+``gradcheck`` audits by finite differences. No GPU, no broadcasting rules
+beyond what the model needs.
 
 Every op computes its forward value and hands ``Tensor._make`` one
 ``(input, vjp)`` pair per tensor input, where ``vjp`` maps the output's
@@ -24,33 +24,33 @@ when a vjp captured it. A leaf (a parameter) keeps its node, and so its
 gradient, for as long as the tensor lives.
 
 Each vjp captures only what it reads: ``linear`` is one node for
-``x @ w + b`` that keeps x and w, ``ffn`` one node for
-``linear(gelu(linear(x, w1, b1)), w2, b2)`` that keeps x, w1, b1, w2
-and the pre-activation's normal cdf but neither the pre-activation nor
-GELU's output, which backward recomputes, ``attention`` one node that
-takes [B, L, d] projections, splits and merges the heads itself and
-holds q, k, v and the mask bias but not the softmax probabilities,
-which backward recomputes, ``dropout`` a boolean mask, ``layer_norm``
-the normalized rows but not its input, and ``sum`` and indexing only
-their input's shape. A recomputation repeats forward's operations on
-the same arrays in the same order, so it has forward's bits (at a
-fixed BLAS thread count). Vjps of one node that share a product
-(attention's probabilities and head gradients, ``ffn``'s pre-activation
-and its gradient through GELU) compute it once, through
-``_once_per_gradient``. ``backward`` frees the graph as it walks it:
-once a node has passed its gradient to its inputs it drops its gradient
-and edges and stops requiring a gradient, so a result can be
+``x @ w + b`` that keeps x and w, ``layer_norm`` keeps the normalized
+rows and inverse deviations, ``dropout`` a boolean mask, and ``sum`` and
+indexing only their input's shape. An encoder block is six nodes: two
+pre-norm sublayers, two dropouts and two residual adds. ``attention``
+(``wo(attn(layer_norm(x)))``) keeps the layer norm's normalized rows
+and inverse deviations and the mask bias; ``ffn``
+(``linear(gelu(linear(layer_norm(x), w1, b1)), w2, b2)``) keeps those
+rows and deviations and the pre-activation's normal cdf. Backward
+recomputes the rest (the layer norm's output, q, k, v, the [B, H, L, L]
+softmax probabilities, the merged heads, the pre-activation) once per
+gradient, through ``_once_per_gradient``, repeating forward's
+operations on the same arrays in the same order, so with forward's bits
+at a fixed BLAS thread count. ``backward`` frees the graph as it walks
+it: once a node has passed its gradient to its inputs it drops its
+gradient and edges and stops requiring a gradient, so a result can be
 backpropagated once (a second ``backward`` raises ``GradientError``),
 and only leaf gradients remain afterwards.
 
 Buffers. An op owns the arrays it allocates: its result and what its
 vjps keep for backward. The elementwise kernels (GELU in ``gelu`` and
-``ffn``, ``layer_norm``, ``dropout``, attention's scale, mask bias and
-softmax, ``linear``'s bias) allocate each result once and fill it in
-place with ``out=`` ufuncs, in blocks of rows (``_row_blocks``) so that
-a block's operands stay in cache between passes; a vjp allocates the
-gradient it returns the same way. Each keeps the plain expression's operations in
-their order, so the bits equal those of the whole-array expression
+``ffn``, the layer norm in ``layer_norm`` and both sublayers,
+``dropout``, attention's scale, mask bias and softmax, ``linear``'s
+bias) allocate each result once and fill it in place with ``out=``
+ufuncs, in blocks of rows (``_row_blocks``) so that a block's operands
+stay in cache between passes; a vjp allocates the gradient it returns
+the same way. Each keeps the plain expression's operations in their
+order, so the bits equal those of the whole-array expression
 (tests/tensor_reference.py holds those expressions). A vjp never writes
 into the gradient ``g`` it is handed, nor into anything it keeps:
 ``g`` may be shared with another node (``a + b`` hands both inputs the
@@ -378,70 +378,13 @@ def gelu(x: Tensor) -> Tensor:
         ((x, lambda g: _gelu_grad(X, cdf, _rows(g)).reshape(shape)),))
 
 
-def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """linear(gelu(linear(x, w1, b1)), w2, b2) as one node, with the bits of
-    those three nodes.
-
-    Keeps x, w1, b1, w2 and the pre-activation's normal cdf, but neither
-    the pre-activation a = x @ w1 + b1 nor GELU's output h = a * cdf.
-    Backward recomputes a once, with forward's matmul on the same arrays
-    (so the same bits at a fixed BLAS thread count), for GELU's gradient
-    and for w2's gradient, which recomputes h one batch row at a time.
-    """
-    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
-    _check_matmul(xd, w1d)
-
-    def pre_activation():
-        a = np.matmul(xd, w1d)
-        a += b1d
-        return a
-
-    a = pre_activation()
-    _check_matmul(a, w2d)
-    h, C = _gelu_fill(_rows(a))
-    out = np.matmul(h.reshape(a.shape), w2d)
-    out += b2.data
-    shape = a.shape
-
-    @_once_per_gradient
-    def grad_a(g):   # (a, g @ w2^T back through GELU)
-        a = pre_activation()
-        dh = np.matmul(g, w2d.swapaxes(-1, -2))
-        return a, _gelu_grad(_rows(a), C, _rows(dh)).reshape(shape)
-
-    def vjp_w2(g):
-        # the batch rows' h_i^T g_i, added in row order as _unbroadcast
-        # sums the batched product
-        a, cdf = grad_a(g)[0], C.reshape(shape)
-        rows = (np.matmul((a[i] * cdf[i]).swapaxes(-1, -2), g[i])
-                for i in np.ndindex(shape[:-2]))
-        gw = next(rows)
-        for p in rows:
-            gw += p
-        return gw
-
-    return Tensor._make(
-        out,
-        ((x, lambda g: np.matmul(grad_a(g)[1], w1d.swapaxes(-1, -2))),
-         (w1, lambda g: np.matmul(xd.swapaxes(-1, -2), grad_a(g)[1])),
-         (b1, lambda g: grad_a(g)[1]),
-         (w2, vjp_w2),
-         (b2, lambda g: g)))
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    Keeps the normalized input and the inverse deviation per row for
-    backward; the variance is the mean square of the centered rows, as
-    ``np.var`` computes it.
-    """
-    xd, gd = x.data, gain.data
-    xhat, out = np.empty(xd.shape), np.empty(xd.shape)
-    inv = np.empty(xd.shape[:-1] + (1,))
-    X, XH, O, INV = _rows(xd), _rows(xhat), _rows(out), _rows(inv)
-    blocks = _row_blocks(X)
-    for rows in blocks:
+def _norm_fill(X: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple:
+    """Layer norm of the rows `X`: their normalized rows, inverse
+    deviations and xhat * gain + bias, in owned buffers. The variance is
+    the mean square of the centered rows, as ``np.var`` computes it."""
+    XH, O = np.empty(X.shape), np.empty(X.shape)
+    INV = np.empty(X.shape[:-1] + (1,))
+    for rows in _row_blocks(X):
         c, o, iv = XH[rows], O[rows], INV[rows]
         np.subtract(X[rows], X[rows].mean(axis=-1, keepdims=True), out=c)
         np.multiply(c, c, out=o)
@@ -450,14 +393,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         np.sqrt(var, out=var)
         np.divide(1.0, var, out=iv)
         c *= iv
-        np.multiply(c, gd, out=o)
-        o += bias.data
+        _affine(c, gd, bd, out=o)
+    return XH, INV, O
 
-    shape = xd.shape
+
+def _affine(XH: np.ndarray, gd: np.ndarray, bd: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """xhat * gain + bias, in `out` or a fresh buffer; elementwise, so a
+    recomputation has the fill's bits."""
+    out = np.multiply(XH, gd, out=out)
+    out += bd
+    return out
+
+
+def _norm_edges(x: Tensor, gain: Tensor, bias: Tensor, XH: np.ndarray,
+               INV: np.ndarray, grad) -> tuple:
+    """The (input, vjp) edges of a layer norm's x, gain and bias (normalized
+    rows `XH`, inverse deviations `INV`), where `grad(g)` is the gradient
+    of the layer norm's output for the node's gradient g."""
+    shape, gd = x.data.shape, gain.data
+    xhat = XH.reshape(shape)
 
     def vjp_x(g):
-        gx = np.empty(shape)
-        G, GX = _rows(g), _rows(gx)
+        G = _rows(grad(g))
+        GX = np.empty(XH.shape)
+        blocks = _row_blocks(XH)
         scratch = np.empty_like(GX[blocks[0]])
         for rows in blocks:
             gy, xh = GX[rows], XH[rows]
@@ -471,10 +431,179 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             np.multiply(xh, m2, out=t)
             gy -= t
             gy *= INV[rows]
-        return gx
+        return GX.reshape(shape)
 
-    return Tensor._make(out, ((x, vjp_x), (gain, lambda g: g * xhat),
-                              (bias, lambda g: g)))
+    return ((x, vjp_x), (gain, lambda g: grad(g) * xhat), (bias, grad))
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Keeps the normalized input and the inverse deviation per row for
+    backward.
+    """
+    XH, INV, out = _norm_fill(_rows(x.data), gain.data, bias.data)
+    return Tensor._make(out.reshape(x.data.shape),
+                        _norm_edges(x, gain, bias, XH, INV, lambda g: g))
+
+
+# -- pre-norm sublayers ---------------------------------------------------------
+
+def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
+              wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+              heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """The pre-norm attention sublayer wo(attn(layer_norm(x))), one node.
+
+    x is [B, L, d]. Its layer norm (gain ln_g, bias ln_b) is projected to
+    q = xn @ wq + bq, k = xn @ wk and v = xn @ wv + bv; each is split into
+    `heads` heads of d // heads features, every head attends on its own,
+    and the heads are merged back and projected by wo, bo. `mask` is a
+    [B, L] boolean key mask whose False positions are excluded from
+    normalization. The node keeps the layer norm's normalized rows and
+    inverse deviations and the [B, L] mask bias only: backward recomputes
+    xn, q, k, v, the [B, H, L, L] softmax probabilities and the merged
+    heads once, with forward's operations in forward's order, so they
+    have the same bits.
+    """
+    xd = x.data
+    B, L, d = shape = xd.shape
+    if L == 0 or d == 0 or d % heads:
+        raise ShapeError(f"cannot attend over L={L}, d={d} in {heads} heads")
+    dh = d // heads
+    gd, bd, wqd, wkd, wvd, wod = (t.data for t in (ln_g, ln_b, wq, wk, wv, wo))
+    bqd, bvd = bq.data, bv.data
+    scale = 1.0 / math.sqrt(dh)
+    # bias applies along the key axis, for every head and query
+    bias = (None if mask is None else
+            np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG))
+
+    def split(a):   # [B, L, d] -> [B, H, L, dh] view
+        return a.reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):   # [B, H, L, dh] -> [B, L, d], C-contiguous as a node's
+        # adopted gradient is, so the products that read it are unchanged
+        return np.ascontiguousarray(a.transpose(0, 2, 1, 3).reshape(B, L, d))
+
+    def attend(xn):
+        # (q, k^T and v in heads, the probabilities, the merged heads)
+        q = np.matmul(xn, wqd)
+        q += bqd
+        k = np.matmul(xn, wkd)
+        v = np.matmul(xn, wvd)
+        v += bvd
+        qh, kt, vh = split(q), split(k).swapaxes(-1, -2), split(v)
+        # softmax(q k^T * scale + bias) over keys, in the scores' buffer;
+        # a row's operations do not depend on the blocks
+        y = np.matmul(qh, kt)
+        for rows in _row_blocks(y):
+            yb = y[rows]
+            yb *= scale
+            if bias is not None:
+                yb += bias[rows, None, None, :]
+            yb -= yb.max(axis=-1, keepdims=True)
+            np.exp(yb, out=yb)
+            yb /= yb.sum(axis=-1, keepdims=True)
+        return qh, kt, vh, y, merge(np.matmul(y, vh))
+
+    XH, INV, xn = _norm_fill(_rows(xd), gd, bd)
+    out = np.matmul(attend(xn.reshape(shape))[-1], wod)
+    out += bo.data
+
+    @_once_per_gradient
+    def grads(g):
+        # (xn, the merged heads, q's, k's, v's and xn's gradients)
+        xn = _affine(XH, gd, bd).reshape(shape)
+        qh, kt, vh, y, att = attend(xn)
+        gh = np.ascontiguousarray(split(np.matmul(g, wod.swapaxes(-1, -2))))
+        # y * (gy - sum(gy * y)) * scale, in gy's buffer
+        gy = np.matmul(gh, vh.swapaxes(-1, -2))
+        blocks = _row_blocks(gy)
+        scratch = np.empty_like(gy[blocks[0]])
+        for rows in blocks:
+            gb, yb = gy[rows], y[rows]
+            t = scratch[:len(gb)]
+            np.multiply(gb, yb, out=t)
+            gb -= t.sum(axis=-1, keepdims=True)
+            gb *= yb
+            gb *= scale
+        dq = merge(np.matmul(gy, kt.swapaxes(-1, -2)))
+        dk = merge(np.matmul(qh.swapaxes(-1, -2), gy).swapaxes(-1, -2))
+        dv = merge(np.matmul(y.swapaxes(-1, -2), gh))
+        # summed in the order backward would sum three consumers' gradients
+        dxn = np.matmul(dq, wqd.swapaxes(-1, -2)) \
+            + np.matmul(dk, wkd.swapaxes(-1, -2))
+        dxn += np.matmul(dv, wvd.swapaxes(-1, -2))
+        return xn, att, dq, dk, dv, dxn
+
+    def weight_grad(i):   # the batched [B, d, d] product xn^T @ d(q|k|v)
+        return lambda g: np.matmul(grads(g)[0].swapaxes(-1, -2), grads(g)[i])
+
+    return Tensor._make(out, _norm_edges(
+        x, ln_g, ln_b, XH, INV, lambda g: grads(g)[5]) + (
+        (wq, weight_grad(2)),
+        (bq, lambda g: grads(g)[2]),
+        (wk, weight_grad(3)),
+        (wv, weight_grad(4)),
+        (bv, lambda g: grads(g)[4]),
+        (wo, lambda g: np.matmul(grads(g)[1].swapaxes(-1, -2), g)),
+        (bo, lambda g: g)))
+
+
+def ffn(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor,
+        w2: Tensor, b2: Tensor) -> Tensor:
+    """The pre-norm feed-forward sublayer
+    linear(gelu(linear(layer_norm(x), w1, b1)), w2, b2), one node.
+
+    Keeps the layer norm's normalized rows and inverse deviations and the
+    pre-activation's normal cdf, but neither the layer norm's output xn,
+    the pre-activation a = xn @ w1 + b1 nor GELU's output h = a * cdf.
+    Backward recomputes xn and a once, with forward's operations on the
+    same arrays (so the same bits at a fixed BLAS thread count), for
+    GELU's gradient and for w2's gradient, which recomputes h one batch
+    row at a time.
+    """
+    xd, gd, bd, w1d, b1d, w2d = (t.data for t in (x, ln_g, ln_b, w1, b1, w2))
+    _check_matmul(xd, w1d)
+    _check_matmul(w1d, w2d)
+    shape_x = xd.shape
+    shape = shape_x[:-1] + w1d.shape[-1:]
+
+    def pre_activation(xn):
+        a = np.matmul(xn, w1d)
+        a += b1d
+        return a
+
+    XH, INV, xn = _norm_fill(_rows(xd), gd, bd)
+    h, C = _gelu_fill(_rows(pre_activation(xn.reshape(shape_x))))
+    out = np.matmul(h.reshape(shape), w2d)
+    out += b2.data
+
+    @_once_per_gradient
+    def grads(g):
+        # (xn, a, a's gradient, xn's gradient)
+        xn = _affine(XH, gd, bd).reshape(shape_x)
+        a = pre_activation(xn)
+        dh = np.matmul(g, w2d.swapaxes(-1, -2))
+        da = _gelu_grad(_rows(a), C, _rows(dh)).reshape(shape)
+        return xn, a, da, np.matmul(da, w1d.swapaxes(-1, -2))
+
+    def vjp_w2(g):
+        # the batch rows' h_i^T g_i, added in row order as _unbroadcast
+        # sums the batched product
+        a, cdf = grads(g)[1], C.reshape(shape)
+        rows = (np.matmul((a[i] * cdf[i]).swapaxes(-1, -2), g[i])
+                for i in np.ndindex(shape[:-2]))
+        gw = next(rows)
+        for p in rows:
+            gw += p
+        return gw
+
+    return Tensor._make(out, _norm_edges(
+        x, ln_g, ln_b, XH, INV, lambda g: grads(g)[3]) + (
+        (w1, lambda g: np.matmul(grads(g)[0].swapaxes(-1, -2), grads(g)[2])),
+        (b1, lambda g: grads(g)[2]),
+        (w2, vjp_w2),
+        (b2, lambda g: g)))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -569,78 +698,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     return Tensor._make(loss.mean(), ((logits, vjp),))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention, as one node.
-
-    q, k, v are [B, L, d] projections; each is split into `heads` heads of
-    d // heads features, every head attends on its own, and the heads are
-    merged back into a [B, L, d] result. `mask` is a [B, L] boolean key
-    mask whose False positions are excluded from normalization. Backward
-    keeps q, k, v and the [B, L] mask bias only: it recomputes the
-    [B, H, L, L] softmax probabilities once, with forward's operations in
-    forward's order, so they have the same bits.
-    """
-    if q.shape != k.shape or q.shape != v.shape:
-        raise ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
-    B, L, d = q.shape
-    if L == 0 or d == 0 or d % heads:
-        raise ShapeError(f"cannot attend over L={L}, d={d} in {heads} heads")
-    dh = d // heads
-
-    def split(a):   # [B, L, d] -> [B, H, L, dh] view
-        return a.reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(a):   # [B, H, L, dh] -> [B, L, d]
-        return a.transpose(0, 2, 1, 3).reshape(B, L, d)
-
-    qd, kt, vd = split(q.data), split(k.data).swapaxes(-1, -2), split(v.data)
-    scale = 1.0 / math.sqrt(dh)
-    # bias applies along the key axis, for every head and query
-    bias = (None if mask is None else
-            np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG))
-
-    def probabilities():
-        # softmax(q k^T * scale + bias) over keys, in the scores' buffer;
-        # a row's operations do not depend on the blocks
-        y = np.matmul(qd, kt)
-        for rows in _row_blocks(y):
-            yb = y[rows]
-            yb *= scale
-            if bias is not None:
-                yb += bias[rows, None, None, :]
-            yb -= yb.max(axis=-1, keepdims=True)
-            np.exp(yb, out=yb)
-            yb /= yb.sum(axis=-1, keepdims=True)
-        return y
-
-    @_once_per_gradient
-    def head_grads(g):
-        # (g split into heads, d(loss)/d(scaled scores), the probabilities)
-        y = probabilities()
-        gh = np.ascontiguousarray(split(g))
-        # y * (gy - sum(gy * y)) * scale, in gy's buffer
-        gy = np.matmul(gh, vd.swapaxes(-1, -2))
-        blocks = _row_blocks(gy)
-        scratch = np.empty_like(gy[blocks[0]])
-        for rows in blocks:
-            gb, yb = gy[rows], y[rows]
-            t = scratch[:len(gb)]
-            np.multiply(gb, yb, out=t)
-            gb -= t.sum(axis=-1, keepdims=True)
-            gb *= yb
-            gb *= scale
-        return gh, gy, y
-
-    return Tensor._make(
-        merge(np.matmul(probabilities(), vd)),
-        ((q, lambda g: merge(np.matmul(head_grads(g)[1], kt.swapaxes(-1, -2)))),
-         (k, lambda g: merge(np.matmul(qd.swapaxes(-1, -2),
-                                       head_grads(g)[1]).swapaxes(-1, -2))),
-         (v, lambda g: merge(np.matmul(head_grads(g)[2].swapaxes(-1, -2),
-                                       head_grads(g)[0])))))
-
-
 # -- gradient checking --------------------------------------------------------
 
 def gradcheck(loss_fn, params: dict, rng: np.random.Generator,
@@ -649,7 +706,8 @@ def gradcheck(loss_fn, params: dict, rng: np.random.Generator,
 
     `loss_fn()` must rebuild the scalar loss from the live `params`
     tensors on every call (deterministic: no dropout). Returns
-    {name: max relative error}; the caller holds the tolerance. Large
+    {name: max relative error}, which is inf where an analytic or numeric
+    derivative is not finite; the caller holds the tolerance. Large
     parameters are probed at `max_elements` entries drawn from `rng`.
     """
     for p in params.values():
@@ -671,6 +729,9 @@ def gradcheck(loss_fn, params: dict, rng: np.random.Generator,
             down = loss_fn().item()
             flat[i] = orig
             num = (up - down) / (2 * GRADCHECK_STEP)
+            if not (math.isfinite(num) and math.isfinite(analytic[i])):
+                max_rel = math.inf   # max() would drop a NaN
+                break
             denom = max(abs(num), abs(analytic[i]), 1e-8)
             max_rel = max(max_rel, abs(num - analytic[i]) / denom)
         report[name] = max_rel

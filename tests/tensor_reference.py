@@ -7,7 +7,9 @@ package's ops (tests/test_tensor.py). The kernels below them are the
 plain whole-array expressions of GELU, layer norm, embedding, dropout and
 attention: the package computes the same expressions in blocks of rows,
 in owned buffers or (embedding's gradient) in one ``np.bincount``, and
-tests/test_tensor_kernels.py requires the same bits.
+tests/test_tensor_kernels.py requires the same bits. The pre-norm
+sublayers at the end chain those kernels into the graph of several nodes
+that the package's one-node ``attention`` and ``ffn`` replace.
 """
 
 import math
@@ -143,3 +145,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
          (k, lambda g: merge(np.matmul(qd.swapaxes(-1, -2),
                                        head_grads(g)[1]).swapaxes(-1, -2))),
          (v, lambda g: merge(np.matmul(y.swapaxes(-1, -2), head_grads(g)[0])))))
+
+
+# -- pre-norm sublayers as chains of nodes ------------------------------------
+
+def pre_norm_attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor,
+                       bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+                       wo: Tensor, bo: Tensor, heads: int,
+                       mask: np.ndarray | None = None) -> Tensor:
+    xn = layer_norm(x, ln_g, ln_b)
+    att = attention(linear(xn, wq, bq), xn.matmul(wk), linear(xn, wv, bv),
+                    heads, mask)
+    return linear(att, wo, bo)
+
+
+def pre_norm_ffn(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor,
+                 b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    return linear(gelu(linear(layer_norm(x, ln_g, ln_b), w1, b1)), w2, b2)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 import struct
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from entqa import cli
 from entqa import model as mdl
+from entqa import tensor as T
 from entqa import trainer as tr
 from entqa.checkpoint import save_checkpoint
 from entqa.cli import main
@@ -994,6 +996,21 @@ class TestGradcheck:
     def test_impossible_tolerance_exits_4(self, capsys):
         assert main(["gradcheck", "--seeds", "1",
                      "--tolerance", "1e-18"]) == 4
+
+    def test_nan_gradient_exits_4(self, capsys, monkeypatch):
+        # fusion's GELU hands back NaN: every fragment through it fails
+        gelu = T.gelu
+
+        def nan_gelu(x):
+            out = gelu(x)
+            out._node.edges = tuple((node, lambda g: np.full(g.shape, np.nan))
+                                    for node, _ in out._node.edges)
+            return out
+
+        monkeypatch.setattr(T, "gelu", nan_gelu)
+        assert main(["gradcheck", "--seeds", "1", "--json"]) == 4
+        out = json.loads(capsys.readouterr().out.strip())
+        assert out["worst"] == math.inf
 
     @pytest.mark.parametrize("flags,named", [
         (["--seeds", "0"], "--seeds"), (["--seeds", "-3"], "--seeds"),

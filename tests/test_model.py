@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,23 +438,29 @@ def _unfused_linear(x, w, b):
     return x.matmul(w) + b
 
 
-def _unfused_ffn(x, w1, b1, w2, b2):
-    return _unfused_linear(T.gelu(_unfused_linear(x, w1, b1)), w2, b2)
-
-
-def _unfused_attention(q, k, v, heads, mask=None):
-    b, l, d = q.shape
+def _unfused_attention(x, ln_g, ln_b, wq, bq, wk, wv, bv, wo, bo, heads,
+                       mask=None):
+    xn = ref.layer_norm(x, ln_g, ln_b)
+    b, l, d = x.shape
 
     def split(x):
         return ref.transpose(x.reshape(b, l, heads, d // heads), 0, 2, 1, 3)
 
-    q, k, v = split(q), split(k), split(v)
+    q = split(_unfused_linear(xn, wq, bq))
+    k = split(xn.matmul(wk))
+    v = split(_unfused_linear(xn, wv, bv))
     scores = q.matmul(ref.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         bias = np.where(mask, 0.0, T.MASK_NEG)
         scores = scores + Tensor(bias[:, None, None, :])
     att = ref.softmax(scores, axis=-1).matmul(v)
-    return ref.transpose(att, 0, 2, 1, 3).reshape(b, l, d)
+    return _unfused_linear(ref.transpose(att, 0, 2, 1, 3).reshape(b, l, d),
+                           wo, bo)
+
+
+def _unfused_ffn(x, ln_g, ln_b, w1, b1, w2, b2):
+    xn = ref.layer_norm(x, ln_g, ln_b)
+    return _unfused_linear(ref.gelu(_unfused_linear(xn, w1, b1)), w2, b2)
 
 
 def _record_nodes(monkeypatch) -> list:
@@ -494,10 +501,10 @@ class TestLeanGraph:
                 assert out._node.edges == () and out._node.grad is None
         assert all(p.grad is not None for p in params.values())
 
-    def test_one_block_records_twelve_nodes(self, small_config,
-                                            small_params, monkeypatch):
-        # two layer norms, q/k/v/o projections, attention, the feed-forward
-        # sublayer, two dropouts and two residual adds
+    def test_one_block_records_six_nodes(self, small_config, small_params,
+                                         monkeypatch):
+        # the attention and feed-forward sublayers, two dropouts and two
+        # residual adds
         config = dataclasses.replace(small_config, dropout=0.1)
         batch = make_batch(config, np.random.default_rng(18))
         x = Tensor(np.random.default_rng(19).normal(size=(2, 12, 16)))
@@ -506,15 +513,46 @@ class TestLeanGraph:
                               batch.attention_mask, config,
                               np.random.default_rng(20), train=True)
         assert out.requires_grad
-        assert len(nodes) == 12
+        assert len(nodes) == 6
+
+    def test_block_holds_only_what_backward_reads(self):
+        # one training-mode block keeps two sublayers' normalized rows and
+        # inverse deviations, the feed-forward cdf, two dropout masks and
+        # the mask bias, besides its output; an array kept twice (a layer
+        # norm's output, q, k or v) would exceed the allowance
+        config = ModelConfig(vocab_size=40, hidden_dim=64, layers=1, heads=4,
+                             dropout=0.1, max_seq_len=32, ffn_mult=4)
+        params = init_params(config, seed=0)
+        B, L, d, n = 4, 32, 64, 256
+        x = Tensor(np.random.default_rng(21).normal(size=(B, L, d)),
+                   requires_grad=True)
+        mask = np.ones((B, L), dtype=bool)
+        mask[1:, 20:] = False
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = mdl._attn_block(x, params, "enc0", config.heads, mask,
+                                  config, np.random.default_rng(22),
+                                  train=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        floats = out.data.size + 2 * B * L * d + 2 * B * L + B * L * n + B * L
+        masks = 2 * B * L * d
+        expected = 8 * floats + masks
+        assert expected <= held < expected + (32 << 10), held - expected
 
     def test_gradients_equal_the_unfused_graph(self, small_config,
                                                monkeypatch):
+        # the reference builds each sublayer from tensor_reference's
+        # unfused ops, so the blocks do not call the package's nodes
         config = dataclasses.replace(small_config, dropout=0.1)
         lean = self._train_step(config)
         monkeypatch.setattr(T, "linear", _unfused_linear)
         monkeypatch.setattr(T, "attention", _unfused_attention)
         monkeypatch.setattr(T, "ffn", _unfused_ffn)
+        monkeypatch.setattr(T, "layer_norm", ref.layer_norm)
         unfused = self._train_step(config)
         for name, p in lean.items():
             np.testing.assert_array_equal(p.grad, unfused[name].grad,

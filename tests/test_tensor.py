@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -33,7 +34,11 @@ def numerical_grad(fn, x: np.ndarray, h=1e-6):
 # (id, input shapes, op over the input tensors); every op of the engine
 # appears, with broadcasting on both sides of + and *
 KEY_MASK = np.array([[True, True, False], [True, False, True]])
-FFN_SHAPES = [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]   # x, w1, b1, w2, b2
+# x, ln_g, ln_b, w1, b1, w2, b2
+FFN_SHAPES = [(2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,)]
+# x, ln_g, ln_b, wq, bq, wk, wv, bv, wo, bo
+ATTENTION_SHAPES = [(2, 3, 4), (4,), (4,), (4, 4), (4,), (4, 4), (4, 4), (4,),
+                    (4, 4), (4,)]
 OPS = [
     ("add_trailing", [(2, 3, 4), (4,)], lambda a, b: a + b),
     ("add_both_sides", [(2, 1, 4), (3, 1)], lambda a, b: a + b),
@@ -72,11 +77,11 @@ OPS = [
     ("bce_with_logits", [(2, 3)],
      lambda a: T.binary_cross_entropy_with_logits(a, np.array([[0, 1, 1],
                                                                [1, 0, 0]]))),
-    ("attention_key_mask", [(2, 3, 4)] * 3,
-     lambda q, k, v: T.attention(q, k, v, 1, mask=KEY_MASK)),
+    ("attention_key_mask", ATTENTION_SHAPES,
+     lambda *a: T.attention(*a, 1, mask=KEY_MASK)),
     # [B, L, d] split into two heads of width 2, as the model calls it
-    ("attention_heads_key_mask", [(2, 3, 4)] * 3,
-     lambda q, k, v: T.attention(q, k, v, 2, mask=KEY_MASK)),
+    ("attention_heads_key_mask", ATTENTION_SHAPES,
+     lambda *a: T.attention(*a, 2, mask=KEY_MASK)),
 ]
 OP_IDS = [case[0] for case in OPS]
 
@@ -192,7 +197,7 @@ KEEPS = [
     ("getitem", [(3, 4)], lambda a: a[:, 1:3], (False,)),
     ("sum", [(2, 3, 4)], lambda a: a.sum(axis=1), (False,)),
     ("linear", [(2, 3, 4), (4, 5), (5,)], T.linear, (True, True, False)),
-    ("ffn", FFN_SHAPES, T.ffn, (True, True, True, True, False)),
+    ("ffn", FFN_SHAPES, T.ffn, (False, True, True, True, True, True, False)),
     ("gelu", [(2, 5)], T.gelu, (True,)),
     ("layer_norm", [(2, 3, 5), (5,), (5,)], T.layer_norm,
      (False, True, False)),
@@ -201,9 +206,9 @@ KEEPS = [
     ("dropout", [(3, 4)],
      lambda a: T.dropout(a, 0.3, np.random.default_rng(0), train=True),
      (False,)),
-    ("attention", [(2, 3, 4)] * 3,
-     lambda q, k, v: T.attention(q, k, v, 2, mask=KEY_MASK),
-     (True, True, True)),
+    ("attention", ATTENTION_SHAPES,
+     lambda *a: T.attention(*a, 2, mask=KEY_MASK),
+     (False, True, True, True, True, True, True, True, True, False)),
     ("softmax_cross_entropy", [(4, 5)],
      lambda a: T.softmax_cross_entropy(a, np.array([0, 2, 4, 2])), (False,)),
     ("bce_with_logits", [(2, 3)],
@@ -251,38 +256,68 @@ def _held_by_node(op, inputs) -> tuple:
     return held - out.data.nbytes, out
 
 
+# what a node's closures, cells and tuples take besides its arrays
+NODE_OVERHEAD = 16 << 10
+
+
+def _sublayer_inputs(shapes, seed):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=s) / np.sqrt(s[0]), requires_grad=True)
+            for s in shapes]
+
+
 def test_attention_node_holds_no_probabilities():
+    # only the layer norm's normalized rows and inverse deviations and the
+    # [B, L] mask bias: not xn, q, k, v, the probabilities or the merged
+    # heads, which backward recomputes
     B, L, d, heads = 2, 64, 32, 4
-    rng = np.random.default_rng(14)
-    qkv = [Tensor(rng.normal(size=(B, L, d)), requires_grad=True)
-           for _ in range(3)]
+    x = [(B, L, d), (d,), (d,)]
+    ins = _sublayer_inputs(x + [(d, d), (d,), (d, d), (d, d), (d,), (d, d),
+                                (d,)], 14)
     mask = np.arange(L)[None, :] < np.array([[L], [L // 2]])
     held, out = _held_by_node(
-        lambda q, k, v: T.attention(q, k, v, heads, mask=mask), qkv)
+        lambda *a: T.attention(*a, heads, mask=mask), ins)
     assert out.requires_grad
-    assert held < B * heads * L * L * 8
+    kept = 8 * (B * L * d + B * L + B * L)
+    assert kept <= held < kept + NODE_OVERHEAD
 
 
 def test_ffn_node_holds_its_cdf_and_no_pre_activation():
-    B, L, d, n = 2, 64, 16, 64
-    rng = np.random.default_rng(15)
-    ins = [Tensor(rng.normal(size=s), requires_grad=True)
-           for s in [(B, L, d), (d, n), (n,), (n, d), (d,)]]
+    # the normalized rows, the inverse deviations and the pre-activation's
+    # cdf: not xn, the pre-activation or GELU's output
+    B, L, d, n = 2, 64, 32, 128
+    ins = _sublayer_inputs([(B, L, d), (d,), (d,), (d, n), (n,), (n, d),
+                            (d,)], 15)
     held, out = _held_by_node(T.ffn, ins)
     assert out.requires_grad
-    assert B * L * n * 8 <= held < 2 * B * L * n * 8
+    kept = 8 * (B * L * d + B * L + B * L * n)
+    assert kept <= held < kept + NODE_OVERHEAD
+
+
+@pytest.mark.parametrize("name,shapes,op", [
+    ("attention", ATTENTION_SHAPES, lambda *a: T.attention(*a, 2, KEY_MASK)),
+    ("ffn", FFN_SHAPES, T.ffn)], ids=["attention", "ffn"])
+def test_sublayer_node_passes_gradcheck(name, shapes, op):
+    rng = np.random.default_rng(16)
+    params = {str(i): Tensor(a, requires_grad=True)
+              for i, a in enumerate(_inputs(shapes))}
+    w = Tensor(rng.normal(size=shapes[0]))
+    report = T.gradcheck(lambda: (op(*params.values()) * w).sum(), params,
+                         rng)
+    assert set(report) == set(params)
+    assert max(report.values()) <= 1e-6, report
 
 
 def test_ffn_vjps_refuse_a_second_gradient():
-    # x, w1 and b1 share one backward through w2 and GELU, valid only for
-    # the first g
+    # x, ln_g and ln_b share one backward through w2, GELU, w1 and the
+    # recomputed layer norm, valid only for the first g
     out = T.ffn(*(Tensor(a, requires_grad=True) for a in _inputs(FFN_SHAPES)))
-    vjp_x, vjp_w1, vjp_b1 = (vjp for _, vjp in out._node.edges[:3])
+    vjp_x, vjp_g, vjp_b = (vjp for _, vjp in out._node.edges[:3])
     g = np.ones(out.shape)
     vjp_x(g)
-    vjp_w1(g)
+    vjp_g(g)
     with pytest.raises(T.GradientError):
-        vjp_b1(2.0 * g)
+        vjp_b(2.0 * g)
 
 
 class TestMatmul:
@@ -348,75 +383,100 @@ class TestCrossEntropy:
         np.testing.assert_allclose(logits.grad, num, rtol=1e-6, atol=1e-10)
 
 
+def _attend(x, heads, mask=None, **weights):
+    """T.attention over array x [B, L, d] as constants; unnamed weights are
+    an identity layer norm and identity projections without biases."""
+    d = x.shape[-1]
+    eye, zero = np.eye(d), np.zeros(d)
+    names = ("ln_g", "ln_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
+    defaults = dict(ln_g=np.ones(d), ln_b=zero, wq=eye, bq=zero, wk=eye,
+                    wv=eye, bv=zero, wo=eye, bo=zero)
+    defaults.update(weights)
+    return T.attention(Tensor(x), *(Tensor(defaults[n]) for n in names),
+                       heads, mask).data
+
+
+def _normalized(x):
+    return ref.layer_norm(Tensor(x), Tensor(np.ones(x.shape[-1])),
+                          Tensor(np.zeros(x.shape[-1]))).data
+
+
 class TestAttention:
     def test_identical_keys_give_mean_of_values(self):
+        # a zero key projection gives every key the same score
         rng = np.random.default_rng(4)
-        q = Tensor(rng.normal(size=(2, 3, 4)))
-        k = Tensor(np.broadcast_to(rng.normal(size=(2, 1, 4)), (2, 3, 4)).copy())
-        v = Tensor(rng.normal(size=(2, 3, 4)))
-        out = T.attention(q, k.reshape(2, 3, 4), v, 2)
-        expected = v.data.mean(axis=1, keepdims=True)
-        np.testing.assert_allclose(out.data, np.broadcast_to(expected, (2, 3, 4)),
+        x = rng.normal(size=(2, 3, 4))
+        wv, bv = rng.normal(size=(4, 4)), rng.normal(size=4)
+        out = _attend(x, 2, wk=np.zeros((4, 4)), wv=wv, bv=bv)
+        expected = (_normalized(x) @ wv + bv).mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(out, np.broadcast_to(expected, (2, 3, 4)),
                                    atol=1e-12)
 
     def test_degenerate_mask_selects_v0(self):
         rng = np.random.default_rng(5)
-        q = Tensor(rng.normal(size=(1, 3, 4)))
-        k = Tensor(rng.normal(size=(1, 3, 4)))
-        v = Tensor(rng.normal(size=(1, 3, 4)))
-        mask = np.array([[True, False, False]])
-        out = T.attention(q, k, v, 2, mask=mask)
+        x = rng.normal(size=(1, 3, 4))
+        wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
+        out = _attend(x, 2, np.array([[True, False, False]]), wq=wq, wk=wk,
+                      wv=wv)
+        v0 = _normalized(x)[0, 0] @ wv
         for row in range(3):
-            np.testing.assert_allclose(out.data[0, row], v.data[0, 0],
-                                       atol=1e-12)
+            np.testing.assert_allclose(out[0, row], v0, atol=1e-12)
 
     def test_matches_loop_oracle(self):
-        # head h of row b reads features [h * dh, (h + 1) * dh) and attends
-        # only to the keys row b's mask keeps
+        # head h of row b reads features [h * dh, (h + 1) * dh) of the
+        # layer norm's projections and attends only to the keys row b's
+        # mask keeps; the merged heads are projected by wo, bo
         rng = np.random.default_rng(6)
         B, L, heads, dh = 2, 3, 2, 2
-        q, k, v = (rng.normal(size=(B, L, heads * dh)) for _ in range(3))
+        d = heads * dh
+        x = rng.normal(size=(B, L, d))
+        w = {n: rng.normal(size=(d, d)) for n in ("wq", "wk", "wv", "wo")}
+        b = {n: rng.normal(size=d) for n in ("bq", "bv", "bo")}
+        g, beta = rng.normal(size=d), rng.normal(size=d)
         mask = KEY_MASK
-        out = T.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask).data
-        ref = np.zeros((B, L, heads * dh))
-        for b in range(B):
-            keys = [j for j in range(L) if mask[b, j]]
+        out = _attend(x, heads, mask, ln_g=g, ln_b=beta, **w, **b)
+        xn = ref.layer_norm(Tensor(x), Tensor(g), Tensor(beta)).data
+        q, k, v = xn @ w["wq"] + b["bq"], xn @ w["wk"], xn @ w["wv"] + b["bv"]
+        att = np.zeros((B, L, d))
+        for bi in range(B):
+            keys = [j for j in range(L) if mask[bi, j]]
             for h in range(heads):
                 f = slice(h * dh, (h + 1) * dh)
                 for i in range(L):
-                    scores = np.array([q[b, i, f] @ k[b, j, f] for j in keys])
-                    scores = scores / np.sqrt(dh)
-                    w = np.exp(scores - scores.max())
-                    w /= w.sum()
-                    ref[b, i, f] = sum(wj * v[b, j, f] for wj, j in zip(w, keys))
-        np.testing.assert_allclose(out, ref, atol=1e-9)
+                    scores = np.array([q[bi, i, f] @ k[bi, j, f]
+                                       for j in keys]) / np.sqrt(dh)
+                    p = np.exp(scores - scores.max())
+                    p /= p.sum()
+                    att[bi, i, f] = sum(pj * v[bi, j, f]
+                                        for pj, j in zip(p, keys))
+        np.testing.assert_allclose(out, att @ w["wo"] + b["bo"], atol=1e-9)
 
     def test_degenerate_dims_raise(self):
         with pytest.raises(T.ShapeError):
-            T.attention(Tensor(np.zeros((1, 0, 4))), Tensor(np.zeros((1, 0, 4))),
-                        Tensor(np.zeros((1, 0, 4))), 1)
+            _attend(np.zeros((1, 0, 4)), 1)
 
     def test_width_not_divisible_by_heads_raises(self):
-        x = Tensor(np.zeros((1, 2, 4)))
         with pytest.raises(T.ShapeError, match="3 heads"):
-            T.attention(x, x, x, 3)
+            _attend(np.zeros((1, 2, 4)), 3)
 
     def test_vjps_refuse_a_second_gradient(self):
-        # q and k share one softmax backward, valid only for the first g
-        q, k, v = (Tensor(a, requires_grad=True) for a in _inputs([(2, 3, 4)] * 3))
-        out = T.attention(q, k, v, 2)
-        (_, vjp_q), (_, vjp_k), _ = out._node.edges
+        # every input's gradient reads one backward through the recomputed
+        # layer norm, projections and softmax, valid only for the first g
+        out = T.attention(*(Tensor(a, requires_grad=True)
+                            for a in _inputs(ATTENTION_SHAPES)), 2)
+        vjp_x, vjp_g = (vjp for _, vjp in out._node.edges[:2])
         g = np.ones(out.shape)
-        vjp_q(g)
-        vjp_k(g)
+        vjp_x(g)
+        vjp_g(g)
         with pytest.raises(T.GradientError):
-            vjp_k(2.0 * g)
+            vjp_g(2.0 * g)
 
     def test_second_gradient_raises_under_optimize(self):
         # the check is no `assert`, which `python -O` would strip
         code = ("import numpy as np; from entqa import tensor as T\n"
-                "x = T.Tensor(np.ones((1, 2, 2)), requires_grad=True)\n"
-                "out = T.attention(x, x, x, 1)\n"
+                f"ins = [T.Tensor(np.ones(s), requires_grad=True)\n"
+                f"       for s in {ATTENTION_SHAPES!r}]\n"
+                "out = T.attention(*ins, 1)\n"
                 "out._node.edges[0][1](np.ones(out.shape))\n"
                 "try:\n"
                 "    out._node.edges[1][1](np.zeros(out.shape))\n"
@@ -528,6 +588,24 @@ class TestGradcheck:
 
         report = T.gradcheck(bad_loss, {"w": w}, np.random.default_rng(0))
         assert report["w"] > 1e-6
+
+    @pytest.mark.parametrize("where", ["analytic", "numeric"])
+    def test_non_finite_derivative_reports_inf(self, where):
+        # max() keeps its first argument over a NaN, so a NaN error would
+        # otherwise read as 0.0
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+
+        def loss():
+            out = (w * w).sum()
+            if where == "analytic":
+                ((inp, _),) = out._node.edges
+                out._node.edges = ((inp, lambda g: np.full((2, 2), np.nan)),)
+            elif not np.all(w.data == 1.0):
+                out.data = np.array(np.nan)
+            return out
+
+        report = T.gradcheck(loss, {"w": w}, np.random.default_rng(0))
+        assert report == {"w": math.inf}
 
 
 class TestDeterminism:

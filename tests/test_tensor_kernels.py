@@ -3,15 +3,16 @@
 `entqa.tensor` computes GELU, layer norm, dropout, attention's softmax and
 linear's bias in owned buffers, in blocks of rows, embedding's gradient
 in one bincount, and the feed-forward node's weight gradient one batch
-row at a time. Each forward and each vjp here (for the feed-forward
-node, each leaf gradient after backward) must equal the plain
+row at a time. Each forward and each vjp here must equal the plain
 expression in tests/tensor_reference.py bit for bit (signed zeros
 included), at the model's default and acceptance sizes, for a single
 row, for row counts that are not a multiple of the block, and for
 non-contiguous upstream gradients. No vjp may write into the gradient it
-is handed. What attention (its probabilities) and the feed-forward node
-(its pre-activation) recompute in backward must keep those bits when the
-block size changes between forward and backward.
+is handed. The pre-norm sublayer nodes (attention and feed-forward) are
+checked whole: their forward and every input's gradient after backward
+must equal those of the reference chain of nodes they replace, and what
+they recompute in backward must keep those bits when the block size
+changes between forward and backward.
 """
 
 import numpy as np
@@ -53,6 +54,53 @@ def _check(op, ref_op, arrays, rng, **kwargs):
         for (_, vjp), (_, ref_vjp) in zip(out._node.edges, want._node.edges):
             assert _same_bits(vjp(g), ref_vjp(g)), name
         assert _same_bits(g, before), f"a vjp wrote into the {name} gradient"
+
+
+def _sublayer_arrays(op, shape, rng):
+    """Inputs of the pre-norm sublayer `op` over x of [B, L, d]: the layer
+    norm's gain and bias, then attention's projections or the
+    feed-forward weights (hidden width four times d, at most 512)."""
+    d = shape[-1]
+
+    def weight(m, n):
+        return rng.normal(size=(m, n)) / np.sqrt(m)
+
+    arrays = [rng.normal(size=shape) * 2.0 + 0.5,
+              1.0 + 0.2 * rng.normal(size=d), rng.normal(size=d)]
+    if op == "attention":
+        return arrays + [weight(d, d), rng.normal(size=d), weight(d, d),
+                         weight(d, d), rng.normal(size=d), weight(d, d),
+                         rng.normal(size=d)]
+    n = min(4 * d, 512)
+    return arrays + [weight(d, n), rng.normal(size=n), weight(n, d),
+                     rng.normal(size=d)]
+
+
+SUBLAYERS = {"attention": (T.attention, ref.pre_norm_attention),
+             "ffn": (T.ffn, ref.pre_norm_ffn)}
+
+
+def _check_sublayer(op, arrays, rng, backward_block=None, **kwargs):
+    """Forward and every input's gradient of the sublayer node `op`, for
+    each upstream gradient, against its reference chain, bit for bit;
+    `backward_block` sets the block size for backward alone."""
+    node, chain = SUBLAYERS[op]
+    for kind, g in _gradients(arrays[0].shape, rng):
+        before = g.copy()
+        ins = [Tensor(a, requires_grad=True) for a in arrays]
+        ref_ins = [Tensor(a, requires_grad=True) for a in arrays]
+        out = node(*ins, **kwargs)
+        want = chain(*ref_ins, **kwargs)
+        assert _same_bits(out.data, want.data)
+        assert len(out._node.edges) == len(ins)
+        with pytest.MonkeyPatch.context() as patch:
+            if backward_block is not None:
+                patch.setattr(T, "_BLOCK_BYTES", backward_block)
+            out.backward(g)
+        want.backward(g)
+        for i, (t, ref_t) in enumerate(zip(ins, ref_ins)):
+            assert _same_bits(t.grad, ref_t.grad), (kind, i)
+        assert _same_bits(g, before), f"backward wrote into the {kind} gradient"
 
 
 # (id, shape); the default model is d = 128, FFN 512, B = 16, L = 128 and
@@ -125,29 +173,10 @@ def test_linear_bits(name, shape):
                          ids=[case[0] for case in ROW_SHAPES
                               if len(case[1]) == 3])
 def test_ffn_bits(name, shape, block):
-    # x is [B, L, d], the hidden width four times d but at most the default
-    # model's 512, and the output d wide again, as in an encoder block
-    d = shape[-1]
-    n = min(4 * d, 512)
-    block(8 * n)
+    # x is [B, L, d] and the output d wide again, as in an encoder block
+    block(8 * min(4 * shape[-1], 512))
     rng = np.random.default_rng(7)
-    arrays = [rng.normal(size=shape), rng.normal(size=(d, n)) / np.sqrt(d),
-              rng.normal(size=n), rng.normal(size=(n, d)) / np.sqrt(n),
-              rng.normal(size=d)]
-    for kind, g in _gradients(shape, rng):
-        before = g.copy()
-        ins = [Tensor(a, requires_grad=True) for a in arrays]
-        ref_ins = [Tensor(a, requires_grad=True) for a in arrays]
-        out = T.ffn(*ins)
-        x, w1, b1, w2, b2 = ref_ins
-        want = ref.linear(ref.gelu(ref.linear(x, w1, b1)), w2, b2)
-        assert _same_bits(out.data, want.data)
-        assert len(out._node.edges) == len(ins)
-        out.backward(g)
-        want.backward(g)
-        for i, (t, ref_t) in enumerate(zip(ins, ref_ins)):
-            assert _same_bits(t.grad, ref_t.grad), (kind, i)
-        assert _same_bits(g, before), f"backward wrote into the {kind} gradient"
+    _check_sublayer("ffn", _sublayer_arrays("ffn", shape, rng), rng)
 
 
 # (id, table shape, ids shape); the default token and acceptance entity
@@ -197,9 +226,9 @@ def test_attention_bits(name, shape, heads, masked, block):
     B, L, d = shape
     block(8 * heads * L * L)
     rng = np.random.default_rng(4)
-    qkv = [rng.normal(size=shape) for _ in range(3)]
+    arrays = _sublayer_arrays("attention", shape, rng)
     mask = _key_mask(rng, B, L) if masked else None
-    _check(T.attention, ref.attention, qkv, rng, heads=heads, mask=mask)
+    _check_sublayer("attention", arrays, rng, heads=heads, mask=mask)
 
 
 def test_row_blocks_cover_every_row_once():
@@ -214,8 +243,9 @@ def test_row_blocks_cover_every_row_once():
         assert all(rows.stop - rows.start <= step for rows in blocks)
 
 
-# (op, [B, L, d], heads); attention recomputes its probabilities and ffn
-# its pre-activation in backward
+# (op, [B, L, d], heads); both sublayer nodes recompute the layer norm's
+# output, attention its projections, probabilities and merged heads, and
+# the feed-forward node its pre-activation, in backward
 RECOMPUTED = [
     ("attention", (5, 7, 6), 3),
     ("attention", (16, 128, 128), 4),
@@ -230,38 +260,13 @@ RECOMPUTED = [
 @pytest.mark.parametrize("backward_block", [1, 1 << 26],
                          ids=["row_blocks", "one_block"])
 def test_recomputed_bits_with_another_block_in_backward(
-        name, shape, heads, backward_block, monkeypatch):
+        name, shape, heads, backward_block):
     # forward at the module's block size, backward at another: what
     # backward recomputes must still give the reference's bits
     rng = np.random.default_rng(8)
-    B, L, d = shape
+    arrays = _sublayer_arrays(name, shape, rng)
+    kwargs = {}
     if name == "attention":
-        arrays = [rng.normal(size=shape) for _ in range(3)]
-        mask = _key_mask(rng, B, L)
-
-        def op(q, k, v):
-            return T.attention(q, k, v, heads, mask)
-
-        def ref_op(q, k, v):
-            return ref.attention(q, k, v, heads, mask)
-    else:
-        n = 4 * d
-        arrays = [rng.normal(size=shape), rng.normal(size=(d, n)),
-                  rng.normal(size=n), rng.normal(size=(n, d)),
-                  rng.normal(size=d)]
-        op = T.ffn
-
-        def ref_op(x, w1, b1, w2, b2):
-            return ref.linear(ref.gelu(ref.linear(x, w1, b1)), w2, b2)
-    for kind, g in _gradients(shape, rng):
-        ins = [Tensor(a, requires_grad=True) for a in arrays]
-        ref_ins = [Tensor(a, requires_grad=True) for a in arrays]
-        with monkeypatch.context() as patch:
-            out = op(*ins)
-            patch.setattr(T, "_BLOCK_BYTES", backward_block)
-            out.backward(g)
-        want = ref_op(*ref_ins)
-        want.backward(g)
-        assert _same_bits(out.data, want.data)
-        for i, (t, ref_t) in enumerate(zip(ins, ref_ins)):
-            assert _same_bits(t.grad, ref_t.grad), (kind, i)
+        kwargs = dict(heads=heads, mask=_key_mask(rng, shape[0], shape[1]))
+    _check_sublayer(name, arrays, rng, backward_block=backward_block,
+                    **kwargs)

@@ -261,6 +261,15 @@ class TestTrainLoop:
         initial = mdl.init_params(result.model_config, 4)
         for name, p in result.params.items():
             np.testing.assert_array_equal(p.data, initial[name].data)
+            assert p.grad is None, name
+
+    def test_returned_parameters_hold_no_gradient(self):
+        # the last step's gradients belong to weights the best snapshot
+        # replaced
+        result = self._run(seed=1)
+        assert len(result.log) == 4
+        for name, p in result.params.items():
+            assert p.grad is None, name
 
     def test_empty_split_rejected(self):
         examples, vocab = tiny_dataset()
