@@ -8,55 +8,43 @@ matmul, ``reshape``, indexing, ``sum``, ``linear``, ``gelu``,
 ``gradcheck`` audits by finite differences. No GPU, no broadcasting rules
 beyond what the model needs.
 
-Every op computes its forward value and hands ``Tensor._make`` one
-``(input, vjp)`` pair per tensor input, where ``vjp`` maps the output's
-gradient to that input's gradient. The vjp may return a gradient in the
-output's broadcast shape: ``Tensor.backward`` alone sums it down to the
-input's shape and accumulates it. Pairs whose input needs no gradient are
-dropped when the op runs, so ops on constants record no graph.
+Graph. An op computes its value and hands ``Tensor._make`` its tensor
+inputs and one ``vjp``, which maps the output's gradient to one gradient
+per input, in input order: ``None`` where nothing reads it, as ``*``
+returns for a constant operand. A gradient may keep the output's
+broadcast shape; ``Tensor.backward`` alone sums it down to the input's
+shape. A result that requires a gradient has a ``_Node``, which holds
+the value's shape, its gradient, its inputs' nodes (``None`` for an
+input that needs no gradient) and the vjp, but never a value: an op
+result's array outlives the caller's reference only when a vjp captured
+it. ``backward`` calls each node's vjp once, in reverse topological
+order, then drops the node's gradient, inputs and vjp, so a result can
+be backpropagated once (a second ``backward`` raises ``GradientError``)
+and only leaf gradients remain.
 
-Value and node. A ``Tensor`` is a value (``data``) and, when it requires a
-gradient, a ``_Node``: its place in the graph, which holds the value's
-shape, its gradient and its edges (``(input node, vjp)`` pairs) but never
-the value. Edges point at nodes, not at tensors, so the graph alone keeps
-no op result's array alive: an array outlives the caller's reference only
-when a vjp captured it. A leaf (a parameter) keeps its node, and so its
-gradient, for as long as the tensor lives.
-
-Each vjp captures only what it reads: ``linear`` is one node for
-``x @ w + b`` that keeps x and w, ``layer_norm`` keeps the normalized
-rows and inverse deviations, ``dropout`` a boolean mask, and ``sum`` and
-indexing only their input's shape. An encoder block is six nodes: two
-pre-norm sublayers, two dropouts and two residual adds. ``attention``
-(``wo(attn(layer_norm(x)))``) keeps the layer norm's normalized rows
-and inverse deviations and the mask bias; ``ffn``
-(``linear(gelu(linear(layer_norm(x), w1, b1)), w2, b2)``) keeps those
-rows and deviations and the pre-activation's normal cdf. Backward
-recomputes the rest (the layer norm's output, q, k, v, the [B, H, L, L]
-softmax probabilities, the merged heads, the pre-activation) once per
-gradient, through ``_once_per_gradient``, repeating forward's
-operations on the same arrays in the same order, so with forward's bits
-at a fixed BLAS thread count. ``backward`` frees the graph as it walks
-it: once a node has passed its gradient to its inputs it drops its
-gradient and edges and stops requiring a gradient, so a result can be
-backpropagated once (a second ``backward`` raises ``GradientError``),
-and only leaf gradients remain afterwards.
+Each vjp captures only what it reads: ``linear`` keeps x and w,
+``layer_norm`` its normalized rows and inverse deviations, ``dropout`` a
+boolean mask, and ``sum`` and indexing their input's shape. An encoder
+block is six nodes: two pre-norm sublayers, two dropouts and two
+residual adds. A sublayer keeps its layer norm's normalized rows and
+inverse deviations, and the mask bias (``attention``) or the
+pre-activation's normal cdf (``ffn``); its vjp recomputes the rest with
+forward's operations on the same arrays in the same order, so with
+forward's bits at a fixed BLAS thread count.
 
 Buffers. An op owns the arrays it allocates: its result and what its
-vjps keep for backward. The elementwise kernels (GELU in ``gelu`` and
+vjp keeps for backward. The elementwise kernels (GELU in ``gelu`` and
 ``ffn``, the layer norm in ``layer_norm`` and both sublayers,
 ``dropout``, attention's scale, mask bias and softmax, ``linear``'s
 bias) allocate each result once and fill it in place with ``out=``
 ufuncs, in blocks of rows (``_row_blocks``) so that a block's operands
-stay in cache between passes; a vjp allocates the gradient it returns
+stay in cache between passes; a vjp allocates the gradients it returns
 the same way. Each keeps the plain expression's operations in their
 order, so the bits equal those of the whole-array expression
 (tests/tensor_reference.py holds those expressions). A vjp never writes
 into the gradient ``g`` it is handed, nor into anything it keeps:
-``g`` may be shared with another node (``a + b`` hands both inputs the
-same array, which each may adopt as its gradient). A node adopts its
-first gradient, allocates the sum at its second and adds later ones
-into that sum, which it owns; it never writes an adopted array.
+``g`` may be shared with another node: ``a + b`` hands both inputs the
+same array, which each may adopt as its gradient (``_Node.accumulate``).
 """
 
 from __future__ import annotations
@@ -80,8 +68,8 @@ class ShapeError(ValueError):
 
 
 class GradientError(RuntimeError):
-    """Raised on a non-finite gradient, or on backward through a graph
-    that an earlier backward already freed."""
+    """Raised on a non-finite gradient, on a vjp's wrong gradient count,
+    or on backward through a graph an earlier backward already freed."""
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -99,15 +87,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 class _Node:
     """A tensor's place in the graph: the shape of its value, the gradient
-    backward accumulates for it, and the ``(input node, vjp)`` edges of the
-    op that made it (none for a leaf). It never holds the value."""
+    backward accumulates for it, and the input nodes (``None`` for an input
+    that needs no gradient) and vjp of the op that made it (none for a
+    leaf). It never holds the value."""
 
-    __slots__ = ("shape", "grad", "edges", "requires_grad", "owns_grad")
+    __slots__ = ("shape", "grad", "inputs", "vjp", "requires_grad",
+                 "owns_grad")
 
-    def __init__(self, shape: tuple, edges: tuple = ()):
+    def __init__(self, shape: tuple, inputs: tuple = (), vjp=None):
         self.shape = shape
         self.grad = None
-        self.edges = edges
+        self.inputs = inputs
+        self.vjp = vjp
         self.requires_grad = True
         self.owns_grad = False
 
@@ -128,7 +119,7 @@ class _Node:
 class Tensor:
     """A dense n-d float64 array and, if it requires a gradient, its node.
 
-    ``backward()`` on a scalar result walks the nodes' edges in reverse
+    ``backward()`` on a scalar result walks the graph in reverse
     topological order, fills ``grad`` on every requires_grad leaf
     reachable from it and frees the op results' nodes it passes through.
     """
@@ -144,10 +135,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     @property
     def requires_grad(self) -> bool:
@@ -168,13 +155,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     @staticmethod
-    def _make(data, edges) -> "Tensor":
-        """The op result `data`; its node keeps the edges whose input needs
-        a gradient, and it has none when no input does."""
+    def _make(data, inputs: tuple, vjp) -> "Tensor":
+        """The op result `data`; `vjp(g)` returns one gradient per input."""
         out = Tensor(data)
-        kept = tuple((t._node, vjp) for t, vjp in edges if t.requires_grad)
-        if kept:
-            out._node = _Node(out.data.shape, kept)
+        nodes = tuple(t._node if t.requires_grad else None for t in inputs)
+        if nodes.count(None) < len(nodes):
+            out._node = _Node(out.data.shape, nodes, vjp)
         return out
 
     # -- autodiff ------------------------------------------------------------
@@ -188,6 +174,10 @@ class Tensor:
             if self.data.size != 1:
                 raise ShapeError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
+        grad = np.asarray(grad, dtype=DTYPE)
+        if grad.shape != self.data.shape:
+            raise ShapeError(f"backward() grad of shape {grad.shape} for a "
+                             f"result of shape {self.data.shape}")
         root = self._node
         topo = []
         seen = set()
@@ -201,23 +191,32 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p, _ in node.edges:
-                # every edge's input required a gradient when the op ran
+            for p in node.inputs:
+                if p is None or id(p) in seen:
+                    continue
+                # every input node required a gradient when the op ran
                 if not p.requires_grad:
                     raise GradientError(
                         "backward() through a graph already freed by an "
                         "earlier backward()")
-                if id(p) not in seen:
-                    stack.append((p, False))
-        root.accumulate(np.asarray(grad, dtype=DTYPE))
+                stack.append((p, False))
+        root.accumulate(grad)
         # reverse topological order; a node is dropped from `topo` once its
-        # gradient is passed on, so its vjps' arrays are freed as the walk goes
+        # gradient is passed on, so its vjp's arrays are freed as the walk goes
         while topo:
             node = topo.pop()
-            if node.edges:
-                for p, vjp in node.edges:
-                    p.accumulate(_unbroadcast(vjp(node.grad), p.shape))
-                node.grad, node.edges, node.requires_grad = None, (), False
+            if not node.inputs:
+                continue
+            grads = node.vjp(node.grad)
+            if len(grads) != len(node.inputs):
+                raise GradientError(
+                    f"a vjp returned {len(grads)} gradients for a node of "
+                    f"{len(node.inputs)} inputs")
+            for p, g in zip(node.inputs, grads):
+                if p is not None:
+                    p.accumulate(_unbroadcast(g, p.shape))
+            node.grad, node.inputs, node.vjp = None, (), None
+            node.requires_grad = False
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -227,16 +226,19 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._coerce(other)
-        return Tensor._make(self.data + other.data,
-                            ((self, lambda g: g), (other, lambda g: g)))
+        return Tensor._make(self.data + other.data, (self, other),
+                            lambda g: (g, g))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = Tensor._coerce(other)
-        return Tensor._make(self.data * other.data,
-                            ((self, lambda g: g * other.data),
-                             (other, lambda g: g * self.data)))
+        # keep an operand's array only for the other operand's gradient
+        a = self.data if other.requires_grad else None
+        b = other.data if self.requires_grad else None
+        return Tensor._make(self.data * other.data, (self, other),
+                            lambda g: (None if b is None else g * b,
+                                       None if a is None else g * a))
 
     __rmul__ = __mul__
 
@@ -244,16 +246,16 @@ class Tensor:
         other = Tensor._coerce(other)
         a, b = self.data, other.data
         _check_matmul(a, b)
-        return Tensor._make(np.matmul(a, b),
-                            ((self, lambda g: np.matmul(g, b.swapaxes(-1, -2))),
-                             (other, lambda g: np.matmul(a.swapaxes(-1, -2), g))))
+        return Tensor._make(np.matmul(a, b), (self, other),
+                            lambda g: (np.matmul(g, b.swapaxes(-1, -2)),
+                                       np.matmul(a.swapaxes(-1, -2), g)))
 
     __matmul__ = matmul
 
     def reshape(self, *shape) -> "Tensor":
         old = self.data.shape
-        return Tensor._make(self.data.reshape(shape),
-                            ((self, lambda g: g.reshape(old)),))
+        return Tensor._make(self.data.reshape(shape), (self,),
+                            lambda g: (g.reshape(old),))
 
     def __getitem__(self, idx) -> "Tensor":
         shape = self.data.shape
@@ -261,9 +263,9 @@ class Tensor:
         def vjp(g):
             full = np.zeros(shape)
             np.add.at(full, idx, g)
-            return full
+            return (full,)
 
-        return Tensor._make(self.data[idx], ((self, vjp),))
+        return Tensor._make(self.data[idx], (self,), vjp)
 
     def sum(self, axis=None, keepdims=False) -> "Tensor":
         shape = self.data.shape
@@ -271,10 +273,10 @@ class Tensor:
         def vjp(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, shape)
+            return (np.broadcast_to(g, shape),)
 
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims),
-                            ((self, vjp),))
+                            (self,), vjp)
 
 
 def _check_matmul(a: np.ndarray, b: np.ndarray):
@@ -284,32 +286,15 @@ def _check_matmul(a: np.ndarray, b: np.ndarray):
         raise ShapeError(f"matmul inner dims disagree: {a.shape} vs {b.shape}")
 
 
-def _once_per_gradient(compute):
-    """`compute(g)` for the vjps of one node that share a product: the first
-    call computes it and later calls return it. Tensor.backward calls a
-    node's vjps once each, all with the same g; a different g raises."""
-    memo = []
-
-    def shared(g):
-        if not memo:
-            memo.append((g, compute(g)))
-        if memo[0][0] is not g:
-            raise GradientError("one node's vjps called with different gradients")
-        return memo[0][1]
-
-    return shared
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node; the product is not kept for backward."""
     xd, wd = x.data, w.data
     _check_matmul(xd, wd)
     out = np.matmul(xd, wd)
     out += b.data
-    return Tensor._make(out,
-                        ((x, lambda g: np.matmul(g, wd.swapaxes(-1, -2))),
-                         (w, lambda g: np.matmul(xd.swapaxes(-1, -2), g)),
-                         (b, lambda g: g)))
+    return Tensor._make(out, (x, w, b),
+                        lambda g: (np.matmul(g, wd.swapaxes(-1, -2)),
+                                   np.matmul(xd.swapaxes(-1, -2), g), g))
 
 
 # -- elementwise kernels ------------------------------------------------------
@@ -374,8 +359,8 @@ def gelu(x: Tensor) -> Tensor:
     X = _rows(x.data)
     out, cdf = _gelu_fill(X)
     return Tensor._make(
-        out.reshape(shape),
-        ((x, lambda g: _gelu_grad(X, cdf, _rows(g)).reshape(shape)),))
+        out.reshape(shape), (x,),
+        lambda g: (_gelu_grad(X, cdf, _rows(g)).reshape(shape),))
 
 
 def _norm_fill(X: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple:
@@ -406,34 +391,28 @@ def _affine(XH: np.ndarray, gd: np.ndarray, bd: np.ndarray,
     return out
 
 
-def _norm_edges(x: Tensor, gain: Tensor, bias: Tensor, XH: np.ndarray,
-               INV: np.ndarray, grad) -> tuple:
-    """The (input, vjp) edges of a layer norm's x, gain and bias (normalized
-    rows `XH`, inverse deviations `INV`), where `grad(g)` is the gradient
-    of the layer norm's output for the node's gradient g."""
-    shape, gd = x.data.shape, gain.data
-    xhat = XH.reshape(shape)
-
-    def vjp_x(g):
-        G = _rows(grad(g))
-        GX = np.empty(XH.shape)
-        blocks = _row_blocks(XH)
-        scratch = np.empty_like(GX[blocks[0]])
-        for rows in blocks:
-            gy, xh = GX[rows], XH[rows]
-            t = scratch[:len(gy)]
-            # inv * (gy - mean(gy) - xhat * mean(gy * xhat)), gy = g * gain
-            np.multiply(G[rows], gd, out=gy)
-            m1 = gy.mean(axis=-1, keepdims=True)
-            np.multiply(gy, xh, out=t)
-            m2 = t.mean(axis=-1, keepdims=True)
-            gy -= m1
-            np.multiply(xh, m2, out=t)
-            gy -= t
-            gy *= INV[rows]
-        return GX.reshape(shape)
-
-    return ((x, vjp_x), (gain, lambda g: grad(g) * xhat), (bias, grad))
+def _norm_grads(XH: np.ndarray, INV: np.ndarray, gd: np.ndarray,
+                G: np.ndarray) -> tuple:
+    """The gradients of a layer norm's x, gain and bias (normalized rows
+    `XH`, inverse deviations `INV`, gain `gd`) for its output's gradient
+    `G`; x's in a fresh buffer."""
+    GR = _rows(G)
+    GX = np.empty(XH.shape)
+    blocks = _row_blocks(XH)
+    scratch = np.empty_like(GX[blocks[0]])
+    for rows in blocks:
+        gy, xh = GX[rows], XH[rows]
+        t = scratch[:len(gy)]
+        # inv * (gy - mean(gy) - xhat * mean(gy * xhat)), gy = g * gain
+        np.multiply(GR[rows], gd, out=gy)
+        m1 = gy.mean(axis=-1, keepdims=True)
+        np.multiply(gy, xh, out=t)
+        m2 = t.mean(axis=-1, keepdims=True)
+        gy -= m1
+        np.multiply(xh, m2, out=t)
+        gy -= t
+        gy *= INV[rows]
+    return GX.reshape(G.shape), G * XH.reshape(G.shape), G
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -442,9 +421,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     Keeps the normalized input and the inverse deviation per row for
     backward.
     """
-    XH, INV, out = _norm_fill(_rows(x.data), gain.data, bias.data)
-    return Tensor._make(out.reshape(x.data.shape),
-                        _norm_edges(x, gain, bias, XH, INV, lambda g: g))
+    gd = gain.data
+    XH, INV, out = _norm_fill(_rows(x.data), gd, bias.data)
+    return Tensor._make(out.reshape(x.data.shape), (x, gain, bias),
+                        lambda g: _norm_grads(XH, INV, gd, g))
 
 
 # -- pre-norm sublayers ---------------------------------------------------------
@@ -509,9 +489,9 @@ def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
     out = np.matmul(attend(xn.reshape(shape))[-1], wod)
     out += bo.data
 
-    @_once_per_gradient
     def grads(g):
-        # (xn, the merged heads, q's, k's, v's and xn's gradients)
+        # (xn, the merged heads, q's, k's and v's gradients); the
+        # probabilities and the heads' gradients die on return
         xn = _affine(XH, gd, bd).reshape(shape)
         qh, kt, vh, y, att = attend(xn)
         gh = np.ascontiguousarray(split(np.matmul(g, wod.swapaxes(-1, -2))))
@@ -529,24 +509,20 @@ def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
         dq = merge(np.matmul(gy, kt.swapaxes(-1, -2)))
         dk = merge(np.matmul(qh.swapaxes(-1, -2), gy).swapaxes(-1, -2))
         dv = merge(np.matmul(y.swapaxes(-1, -2), gh))
+        return xn, att, dq, dk, dv
+
+    def vjp(g):
+        xn, att, dq, dk, dv = grads(g)
         # summed in the order backward would sum three consumers' gradients
         dxn = np.matmul(dq, wqd.swapaxes(-1, -2)) \
             + np.matmul(dk, wkd.swapaxes(-1, -2))
         dxn += np.matmul(dv, wvd.swapaxes(-1, -2))
-        return xn, att, dq, dk, dv, dxn
+        xt = xn.swapaxes(-1, -2)   # weight gradients are batched [B, d, d]
+        return (*_norm_grads(XH, INV, gd, dxn),
+                np.matmul(xt, dq), dq, np.matmul(xt, dk), np.matmul(xt, dv),
+                dv, np.matmul(att.swapaxes(-1, -2), g), g)
 
-    def weight_grad(i):   # the batched [B, d, d] product xn^T @ d(q|k|v)
-        return lambda g: np.matmul(grads(g)[0].swapaxes(-1, -2), grads(g)[i])
-
-    return Tensor._make(out, _norm_edges(
-        x, ln_g, ln_b, XH, INV, lambda g: grads(g)[5]) + (
-        (wq, weight_grad(2)),
-        (bq, lambda g: grads(g)[2]),
-        (wk, weight_grad(3)),
-        (wv, weight_grad(4)),
-        (bv, lambda g: grads(g)[4]),
-        (wo, lambda g: np.matmul(grads(g)[1].swapaxes(-1, -2), g)),
-        (bo, lambda g: g)))
+    return Tensor._make(out, (x, ln_g, ln_b, wq, bq, wk, wv, bv, wo, bo), vjp)
 
 
 def ffn(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor,
@@ -578,32 +554,26 @@ def ffn(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor,
     out = np.matmul(h.reshape(shape), w2d)
     out += b2.data
 
-    @_once_per_gradient
     def grads(g):
-        # (xn, a, a's gradient, xn's gradient)
+        # (xn, a's gradient, w2's gradient); a and h's gradient die on
+        # return. w2's gradient adds the batch rows' h_i^T g_i in row
+        # order, as _unbroadcast sums the batched product
         xn = _affine(XH, gd, bd).reshape(shape_x)
-        a = pre_activation(xn)
-        dh = np.matmul(g, w2d.swapaxes(-1, -2))
-        da = _gelu_grad(_rows(a), C, _rows(dh)).reshape(shape)
-        return xn, a, da, np.matmul(da, w1d.swapaxes(-1, -2))
-
-    def vjp_w2(g):
-        # the batch rows' h_i^T g_i, added in row order as _unbroadcast
-        # sums the batched product
-        a, cdf = grads(g)[1], C.reshape(shape)
+        a, cdf = pre_activation(xn), C.reshape(shape)
         rows = (np.matmul((a[i] * cdf[i]).swapaxes(-1, -2), g[i])
                 for i in np.ndindex(shape[:-2]))
         gw = next(rows)
         for p in rows:
             gw += p
-        return gw
+        dh = np.matmul(g, w2d.swapaxes(-1, -2))
+        return xn, _gelu_grad(_rows(a), C, _rows(dh)).reshape(shape), gw
 
-    return Tensor._make(out, _norm_edges(
-        x, ln_g, ln_b, XH, INV, lambda g: grads(g)[3]) + (
-        (w1, lambda g: np.matmul(grads(g)[0].swapaxes(-1, -2), grads(g)[2])),
-        (b1, lambda g: grads(g)[2]),
-        (w2, vjp_w2),
-        (b2, lambda g: g)))
+    def vjp(g):
+        xn, da, gw = grads(g)
+        return (*_norm_grads(XH, INV, gd, np.matmul(da, w1d.swapaxes(-1, -2))),
+                np.matmul(xn.swapaxes(-1, -2), da), da, gw, g)
+
+    return Tensor._make(out, (x, ln_g, ln_b, w1, b1, w2, b2), vjp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -621,10 +591,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         # one bincount adds each row's entries from 0.0 in row order, as
         # np.add.at would, so the sums have the same bits
         flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
-        return np.bincount(flat, weights=g.reshape(-1),
-                           minlength=n * d).reshape(n, d)
+        return (np.bincount(flat, weights=g.reshape(-1),
+                            minlength=n * d).reshape(n, d),)
 
-    return Tensor._make(table.data[ids], ((table, vjp),))
+    return Tensor._make(table.data[ids], (table,), vjp)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
@@ -650,7 +620,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
             O[rows] *= scale
         return out
 
-    return Tensor._make(masked(x.data), ((x, masked),))
+    return Tensor._make(masked(x.data), (x,), lambda g: (masked(g),))
 
 
 # -- fused losses ------------------------------------------------------------
@@ -677,9 +647,9 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def vjp(g):
         p = np.exp(z - logz)
         p[np.arange(n), targets] -= 1.0
-        return g * p / n
+        return (g * p / n,)
 
-    return Tensor._make(nll.mean(), ((logits, vjp),))
+    return Tensor._make(nll.mean(), (logits,), vjp)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -693,9 +663,9 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
 
     def vjp(g):
         sig = 1.0 / (1.0 + np.exp(-ld))
-        return (g * (sig - t) / ld.size).reshape(logits.data.shape)
+        return ((g * (sig - t) / ld.size).reshape(logits.data.shape),)
 
-    return Tensor._make(loss.mean(), ((logits, vjp),))
+    return Tensor._make(loss.mean(), (logits,), vjp)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -34,18 +34,18 @@ def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along `axis`."""
     y = _softmax(x.data, axis)
-    return Tensor._make(y, ((x, lambda g: _softmax_vjp(y, g, axis)),))
+    return Tensor._make(y, (x,), lambda g: (_softmax_vjp(y, g, axis),))
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    return Tensor._make(x.data.swapaxes(a, b),
-                        ((x, lambda g: g.swapaxes(a, b)),))
+    return Tensor._make(x.data.swapaxes(a, b), (x,),
+                        lambda g: (g.swapaxes(a, b),))
 
 
 def transpose(x: Tensor, *axes) -> Tensor:
     inv = np.argsort(axes)
-    return Tensor._make(x.data.transpose(axes),
-                        ((x, lambda g: g.transpose(inv)),))
+    return Tensor._make(x.data.transpose(axes), (x,),
+                        lambda g: (g.transpose(inv),))
 
 
 def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -57,10 +57,9 @@ def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
-    return Tensor._make(np.matmul(xd, wd) + b.data,
-                        ((x, lambda g: np.matmul(g, wd.swapaxes(-1, -2))),
-                         (w, lambda g: np.matmul(xd.swapaxes(-1, -2), g)),
-                         (b, lambda g: g)))
+    return Tensor._make(np.matmul(xd, wd) + b.data, (x, w, b),
+                        lambda g: (np.matmul(g, wd.swapaxes(-1, -2)),
+                                   np.matmul(xd.swapaxes(-1, -2), g), g))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -69,9 +68,9 @@ def gelu(x: Tensor) -> Tensor:
 
     def vjp(g):
         pdf = np.exp(-0.5 * xd * xd) * T._INV_SQRT2PI
-        return g * (cdf + xd * pdf)
+        return (g * (cdf + xd * pdf),)
 
-    return Tensor._make(xd * cdf, ((x, vjp),))
+    return Tensor._make(xd * cdf, (x,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -81,14 +80,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
 
-    def vjp_x(g):
+    def vjp(g):
         gy = g * gain.data
         m1 = gy.mean(axis=-1, keepdims=True)
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        return inv * (gy - m1 - xhat * m2)
+        return inv * (gy - m1 - xhat * m2), g * xhat, g
 
-    return Tensor._make(xhat * gain.data + bias.data,
-                        ((x, vjp_x), (gain, lambda g: g * xhat), (bias, lambda g: g)))
+    return Tensor._make(xhat * gain.data + bias.data, (x, gain, bias), vjp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -97,9 +95,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def vjp(g):
         full = np.zeros_like(table.data)
         np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return full
+        return (full,)
 
-    return Tensor._make(table.data[ids], ((table, vjp),))
+    return Tensor._make(table.data[ids], (table,), vjp)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
@@ -108,8 +106,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
         return x
     draw = rng.random(draw_shape or x.data.shape)
     keep = draw[tuple(slice(n) for n in x.data.shape)] >= p
-    return Tensor._make(x.data * (keep / (1.0 - p)),
-                        ((x, lambda g: g * (keep / (1.0 - p))),))
+    return Tensor._make(x.data * (keep / (1.0 - p)), (x,),
+                        lambda g: (g * (keep / (1.0 - p)),))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -130,21 +128,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         bias = np.where(np.asarray(mask, dtype=bool), 0.0, T.MASK_NEG)
         scores = scores + bias[:, None, None, :]
     y = _softmax(scores, -1)
-    memo = []
 
-    def head_grads(g):
-        if not memo:
-            gh = np.ascontiguousarray(split(g))
-            gy = np.matmul(gh, vd.swapaxes(-1, -2))
-            memo.append((gh, _softmax_vjp(y, gy, -1) * scale))
-        return memo[0]
+    def vjp(g):
+        gh = np.ascontiguousarray(split(g))
+        gy = _softmax_vjp(y, np.matmul(gh, vd.swapaxes(-1, -2)), -1) * scale
+        return (merge(np.matmul(gy, kt.swapaxes(-1, -2))),
+                merge(np.matmul(qd.swapaxes(-1, -2), gy).swapaxes(-1, -2)),
+                merge(np.matmul(y.swapaxes(-1, -2), gh)))
 
-    return Tensor._make(
-        merge(np.matmul(y, vd)),
-        ((q, lambda g: merge(np.matmul(head_grads(g)[1], kt.swapaxes(-1, -2)))),
-         (k, lambda g: merge(np.matmul(qd.swapaxes(-1, -2),
-                                       head_grads(g)[1]).swapaxes(-1, -2))),
-         (v, lambda g: merge(np.matmul(y.swapaxes(-1, -2), head_grads(g)[0])))))
+    return Tensor._make(merge(np.matmul(y, vd)), (q, k, v), vjp)
 
 
 # -- pre-norm sublayers as chains of nodes ------------------------------------

@@ -1003,8 +1003,7 @@ class TestGradcheck:
 
         def nan_gelu(x):
             out = gelu(x)
-            out._node.edges = tuple((node, lambda g: np.full(g.shape, np.nan))
-                                    for node, _ in out._node.edges)
+            out._node.vjp = lambda g: (np.full(g.shape, np.nan),)
             return out
 
         monkeypatch.setattr(T, "gelu", nan_gelu)

@@ -468,8 +468,8 @@ def _record_nodes(monkeypatch) -> list:
     nodes = []
     make = Tensor._make
 
-    def recording_make(data, edges):
-        out = make(data, edges)
+    def recording_make(data, inputs, vjp):
+        out = make(data, inputs, vjp)
         nodes.append(out)
         return out
 
@@ -498,7 +498,8 @@ class TestLeanGraph:
         for out in nodes:
             assert not out.requires_grad
             if out._node is not None:
-                assert out._node.edges == () and out._node.grad is None
+                assert out._node.inputs == () and out._node.vjp is None
+                assert out._node.grad is None
         assert all(p.grad is not None for p in params.values())
 
     def test_one_block_records_six_nodes(self, small_config, small_params,

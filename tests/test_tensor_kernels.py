@@ -3,8 +3,8 @@
 `entqa.tensor` computes GELU, layer norm, dropout, attention's softmax and
 linear's bias in owned buffers, in blocks of rows, embedding's gradient
 in one bincount, and the feed-forward node's weight gradient one batch
-row at a time. Each forward and each vjp here must equal the plain
-expression in tests/tensor_reference.py bit for bit (signed zeros
+row at a time. Each forward and every gradient a vjp returns must equal
+the plain expression in tests/tensor_reference.py bit for bit (signed zeros
 included), at the model's default and acceptance sizes, for a single
 row, for row counts that are not a multiple of the block, and for
 non-contiguous upstream gradients. No vjp may write into the gradient it
@@ -41,18 +41,19 @@ def _gradients(shape, rng):
 
 
 def _check(op, ref_op, arrays, rng, **kwargs):
-    """Forward and every vjp of `op` against `ref_op`, bit for bit."""
+    """Forward and the gradient tuple of `op`'s vjp against `ref_op`'s,
+    bit for bit, for each upstream gradient."""
     ins = [Tensor(a, requires_grad=True) for a in arrays]
     ref_ins = [Tensor(a, requires_grad=True) for a in arrays]
     out, want = op(*ins, **kwargs), ref_op(*ref_ins, **kwargs)
     assert _same_bits(out.data, want.data)
-    assert len(out._node.edges) == len(want._node.edges) == len(ins)
+    assert len(out._node.inputs) == len(want._node.inputs) == len(ins)
     for name, g in _gradients(out.shape, rng):
         before = g.copy()
-        # fresh nodes per gradient: attention caches its first g's products
-        out, want = op(*ins, **kwargs), ref_op(*ref_ins, **kwargs)
-        for (_, vjp), (_, ref_vjp) in zip(out._node.edges, want._node.edges):
-            assert _same_bits(vjp(g), ref_vjp(g)), name
+        grads, ref_grads = out._node.vjp(g), want._node.vjp(g)
+        assert len(grads) == len(ref_grads) == len(ins), name
+        for i, (got, ref_got) in enumerate(zip(grads, ref_grads)):
+            assert _same_bits(got, ref_got), (name, i)
         assert _same_bits(g, before), f"a vjp wrote into the {name} gradient"
 
 
@@ -92,7 +93,7 @@ def _check_sublayer(op, arrays, rng, backward_block=None, **kwargs):
         out = node(*ins, **kwargs)
         want = chain(*ref_ins, **kwargs)
         assert _same_bits(out.data, want.data)
-        assert len(out._node.edges) == len(ins)
+        assert len(out._node.inputs) == len(ins)
         with pytest.MonkeyPatch.context() as patch:
             if backward_block is not None:
                 patch.setattr(T, "_BLOCK_BYTES", backward_block)
