@@ -27,8 +27,8 @@ from .corpus import (DatasetError, LOGICAL_FORMS, build_paragraph_context,
                      build_templates, generate_corpus, instantiate_questions,
                      lf_tokenize, read_dataset, write_dataset)
 from .model import ModelConfig
-from .splits import SplitAssignment, filter_examples, leakage_audit, \
-    make_assignment
+from .splits import SPLITS, SplitAssignment, filter_examples, \
+    leakage_audit, make_assignment
 from .tensor import GradientError
 from .textpipe import EncodingError, Vocab
 from .trainer import TrainConfig
@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
 EXIT_NUMERIC = 4
-
-SPLITS = ("train", "val", "test")
 
 # the thread-count variables BLAS libraries read when numpy loads
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -129,7 +127,8 @@ def _git_describe() -> str:
 def write_manifest(out_dir: Path, command: str, argv: list, resolved: dict,
                    seed: int | None, coverage: dict | None = None):
     """manifest.json in `out_dir`; `coverage` maps each split a command
-    encoded to the examples handed to the encoder and the pairs it kept."""
+    encoded (under its split mode, for run-matrix) to the examples handed
+    to the encoder and the pairs it kept."""
     manifest = {
         "command": command,
         "argv": argv,
@@ -360,7 +359,7 @@ def cmd_run_matrix(args) -> int:
                 "train": dataclasses.asdict(train_config),
                 "seeds": seeds, "split_seed": args.split_seed}
     write_manifest(out, "run-matrix", args.argv, resolved,
-                   args.split_seed)
+                   args.split_seed, result["coverage"])
     if args.json:
         cells = {f"{system}/{mode}": cell
                  for (system, mode), cell in result["cells"].items()}

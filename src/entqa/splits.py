@@ -145,6 +145,7 @@ def partition_templates(templates_by_lf: dict, train_frac: float, seed: int):
     return qt_train, qt_eval
 
 
+SPLITS = ("train", "val", "test")   # the parts filter_examples returns
 SPLIT_RATIOS = (0.7, 0.15, 0.15)   # train / val / test share of notes
 
 

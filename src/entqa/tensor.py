@@ -32,19 +32,21 @@ pre-activation's normal cdf (``ffn``); its vjp recomputes the rest with
 forward's operations on the same arrays in the same order, so with
 forward's bits at a fixed BLAS thread count.
 
-Buffers. An op owns the arrays it allocates: its result and what its
-vjp keeps for backward. The elementwise kernels (GELU in ``gelu`` and
+Buffers. An op owns the arrays it allocates: its result and what its vjp
+keeps for backward. The elementwise kernels (GELU in ``gelu`` and
 ``ffn``, the layer norm in ``layer_norm`` and both sublayers,
 ``dropout``, attention's scale, mask bias and softmax, ``linear``'s
-bias) allocate each result once and fill it in place with ``out=``
-ufuncs, in blocks of rows (``_row_blocks``) so that a block's operands
-stay in cache between passes; a vjp allocates the gradients it returns
-the same way. Each keeps the plain expression's operations in their
-order, so the bits equal those of the whole-array expression
-(tests/tensor_reference.py holds those expressions). A vjp never writes
-into the gradient ``g`` it is handed, nor into anything it keeps:
-``g`` may be shared with another node: ``a + b`` hands both inputs the
-same array, which each may adopt as its gradient (``_Node.accumulate``).
+bias) allocate each result once and fill it with in-place and ``out=``
+ufuncs over the whole array, rather than allocating a temporary per
+operation; a vjp allocates the gradients it returns the same way. Each
+keeps the plain expression's operations in their order, so the bits
+equal those of that expression (tests/tensor_reference.py holds them).
+Two gradients go one batch row at a time: attention's softmax gradient,
+so that its ``gy * y`` scratch is one row's [H, L, L], and ``ffn``'s
+``w2`` gradient. A vjp never writes into the gradient ``g`` it is
+handed, nor into anything it keeps: ``g`` may be shared with another
+node: ``a + b`` hands both inputs the same array, which each may adopt
+as its gradient (``_Node.accumulate``).
 """
 
 from __future__ import annotations
@@ -299,86 +301,52 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 # -- elementwise kernels ------------------------------------------------------
 
-# Bytes of one operand per block: a kernel's three or four operands of one
-# block stay in a 2 MiB per-core L2 between its passes.
-_BLOCK_BYTES = 1 << 19
-
-
-def _row_blocks(a: np.ndarray) -> list:
-    """Slices that cover `a`'s leading axis in blocks of about _BLOCK_BYTES;
-    one empty slice when the axis is empty."""
-    n = len(a)
-    step = max(1, _BLOCK_BYTES // max(1, a[0:1].nbytes))
-    return [slice(i, min(i + step, n)) for i in range(0, max(n, 1), step)]
-
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    """`a` as [rows, last axis]: a view of an owned buffer, or a copy of a
-    non-contiguous input."""
-    return a.reshape(-1, a.shape[-1])
-
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _gelu_fill(X: np.ndarray) -> tuple:
-    """GELU of the rows `X` and their normal cdf, in owned buffers."""
-    C, O = np.empty(X.shape), np.empty(X.shape)
-    for rows in _row_blocks(X):
-        xb, c = X[rows], C[rows]
-        # cdf = 0.5 * (1 + erf(x / sqrt 2)); out = x * cdf
-        np.multiply(xb, _INV_SQRT2, out=c)
-        erf(c, out=c)
-        c += 1.0
-        c *= 0.5
-        np.multiply(xb, c, out=O[rows])
-    return O, C
+    """GELU of `X` and its normal cdf, in owned buffers."""
+    # cdf = 0.5 * (1 + erf(x / sqrt 2)); out = x * cdf
+    C = np.multiply(X, _INV_SQRT2)
+    erf(C, out=C)
+    C += 1.0
+    C *= 0.5
+    return np.multiply(X, C), C
 
 
 def _gelu_grad(X: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The gradient `G` through GELU of the rows `X` (cdf `C`), in a fresh
-    buffer."""
-    GX = np.empty(X.shape)
-    for rows in _row_blocks(X):
-        xb, o = X[rows], GX[rows]
-        # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi))
-        np.multiply(xb, -0.5, out=o)
-        o *= xb
-        np.exp(o, out=o)
-        o *= _INV_SQRT2PI
-        o *= xb
-        o += C[rows]
-        o *= G[rows]
+    """The gradient `G` through GELU of `X` (cdf `C`), in a fresh buffer."""
+    # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi))
+    GX = np.multiply(X, -0.5)
+    GX *= X
+    np.exp(GX, out=GX)
+    GX *= _INV_SQRT2PI
+    GX *= X
+    GX += C
+    GX *= G
     return GX
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU; keeps x and its normal cdf for backward."""
-    shape = x.data.shape
-    X = _rows(x.data)
-    out, cdf = _gelu_fill(X)
-    return Tensor._make(
-        out.reshape(shape), (x,),
-        lambda g: (_gelu_grad(X, cdf, _rows(g)).reshape(shape),))
+    xd = x.data
+    out, cdf = _gelu_fill(xd)
+    return Tensor._make(out, (x,), lambda g: (_gelu_grad(xd, cdf, g),))
 
 
 def _norm_fill(X: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple:
-    """Layer norm of the rows `X`: their normalized rows, inverse
+    """Layer norm over `X`'s last axis: the normalized rows, inverse
     deviations and xhat * gain + bias, in owned buffers. The variance is
     the mean square of the centered rows, as ``np.var`` computes it."""
-    XH, O = np.empty(X.shape), np.empty(X.shape)
-    INV = np.empty(X.shape[:-1] + (1,))
-    for rows in _row_blocks(X):
-        c, o, iv = XH[rows], O[rows], INV[rows]
-        np.subtract(X[rows], X[rows].mean(axis=-1, keepdims=True), out=c)
-        np.multiply(c, c, out=o)
-        var = o.mean(axis=-1, keepdims=True)
-        var += LAYER_NORM_EPS
-        np.sqrt(var, out=var)
-        np.divide(1.0, var, out=iv)
-        c *= iv
-        _affine(c, gd, bd, out=o)
+    XH = np.subtract(X, X.mean(axis=-1, keepdims=True))
+    O = np.multiply(XH, XH)
+    INV = O.mean(axis=-1, keepdims=True)
+    INV += LAYER_NORM_EPS
+    np.sqrt(INV, out=INV)
+    np.divide(1.0, INV, out=INV)
+    XH *= INV
+    _affine(XH, gd, bd, out=O)
     return XH, INV, O
 
 
@@ -396,23 +364,16 @@ def _norm_grads(XH: np.ndarray, INV: np.ndarray, gd: np.ndarray,
     """The gradients of a layer norm's x, gain and bias (normalized rows
     `XH`, inverse deviations `INV`, gain `gd`) for its output's gradient
     `G`; x's in a fresh buffer."""
-    GR = _rows(G)
-    GX = np.empty(XH.shape)
-    blocks = _row_blocks(XH)
-    scratch = np.empty_like(GX[blocks[0]])
-    for rows in blocks:
-        gy, xh = GX[rows], XH[rows]
-        t = scratch[:len(gy)]
-        # inv * (gy - mean(gy) - xhat * mean(gy * xhat)), gy = g * gain
-        np.multiply(GR[rows], gd, out=gy)
-        m1 = gy.mean(axis=-1, keepdims=True)
-        np.multiply(gy, xh, out=t)
-        m2 = t.mean(axis=-1, keepdims=True)
-        gy -= m1
-        np.multiply(xh, m2, out=t)
-        gy -= t
-        gy *= INV[rows]
-    return GX.reshape(G.shape), G * XH.reshape(G.shape), G
+    # inv * (gy - mean(gy) - xhat * mean(gy * xhat)), gy = g * gain
+    GX = np.multiply(G, gd)
+    m1 = GX.mean(axis=-1, keepdims=True)
+    t = np.multiply(GX, XH)
+    m2 = t.mean(axis=-1, keepdims=True)
+    GX -= m1
+    np.multiply(XH, m2, out=t)
+    GX -= t
+    GX *= INV
+    return GX, G * XH, G
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -422,8 +383,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     backward.
     """
     gd = gain.data
-    XH, INV, out = _norm_fill(_rows(x.data), gd, bias.data)
-    return Tensor._make(out.reshape(x.data.shape), (x, gain, bias),
+    XH, INV, out = _norm_fill(x.data, gd, bias.data)
+    return Tensor._make(out, (x, gain, bias),
                         lambda g: _norm_grads(XH, INV, gd, g))
 
 
@@ -446,7 +407,7 @@ def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
     have the same bits.
     """
     xd = x.data
-    B, L, d = shape = xd.shape
+    B, L, d = xd.shape
     if L == 0 or d == 0 or d % heads:
         raise ShapeError(f"cannot attend over L={L}, d={d} in {heads} heads")
     dh = d // heads
@@ -472,36 +433,31 @@ def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
         v = np.matmul(xn, wvd)
         v += bvd
         qh, kt, vh = split(q), split(k).swapaxes(-1, -2), split(v)
-        # softmax(q k^T * scale + bias) over keys, in the scores' buffer;
-        # a row's operations do not depend on the blocks
+        # softmax(q k^T * scale + bias) over keys, in the scores' buffer
         y = np.matmul(qh, kt)
-        for rows in _row_blocks(y):
-            yb = y[rows]
-            yb *= scale
-            if bias is not None:
-                yb += bias[rows, None, None, :]
-            yb -= yb.max(axis=-1, keepdims=True)
-            np.exp(yb, out=yb)
-            yb /= yb.sum(axis=-1, keepdims=True)
+        y *= scale
+        if bias is not None:
+            y += bias[:, None, None, :]
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
         return qh, kt, vh, y, merge(np.matmul(y, vh))
 
-    XH, INV, xn = _norm_fill(_rows(xd), gd, bd)
-    out = np.matmul(attend(xn.reshape(shape))[-1], wod)
+    XH, INV, xn = _norm_fill(xd, gd, bd)
+    out = np.matmul(attend(xn)[-1], wod)
     out += bo.data
 
     def grads(g):
         # (xn, the merged heads, q's, k's and v's gradients); the
         # probabilities and the heads' gradients die on return
-        xn = _affine(XH, gd, bd).reshape(shape)
+        xn = _affine(XH, gd, bd)
         qh, kt, vh, y, att = attend(xn)
         gh = np.ascontiguousarray(split(np.matmul(g, wod.swapaxes(-1, -2))))
-        # y * (gy - sum(gy * y)) * scale, in gy's buffer
+        # y * (gy - sum(gy * y)) * scale, in gy's buffer, one batch row at
+        # a time so that gy * y takes one row's [H, L, L] of scratch
         gy = np.matmul(gh, vh.swapaxes(-1, -2))
-        blocks = _row_blocks(gy)
-        scratch = np.empty_like(gy[blocks[0]])
-        for rows in blocks:
-            gb, yb = gy[rows], y[rows]
-            t = scratch[:len(gb)]
+        t = np.empty(gy.shape[1:])
+        for gb, yb in zip(gy, y):
             np.multiply(gb, yb, out=t)
             gb -= t.sum(axis=-1, keepdims=True)
             gb *= yb
@@ -541,32 +497,34 @@ def ffn(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor,
     xd, gd, bd, w1d, b1d, w2d = (t.data for t in (x, ln_g, ln_b, w1, b1, w2))
     _check_matmul(xd, w1d)
     _check_matmul(w1d, w2d)
-    shape_x = xd.shape
-    shape = shape_x[:-1] + w1d.shape[-1:]
+    batch = xd.shape[:-2]
 
     def pre_activation(xn):
         a = np.matmul(xn, w1d)
         a += b1d
         return a
 
-    XH, INV, xn = _norm_fill(_rows(xd), gd, bd)
-    h, C = _gelu_fill(_rows(pre_activation(xn.reshape(shape_x))))
-    out = np.matmul(h.reshape(shape), w2d)
+    XH, INV, xn = _norm_fill(xd, gd, bd)
+    h, C = _gelu_fill(pre_activation(xn))
+    out = np.matmul(h, w2d)
     out += b2.data
 
     def grads(g):
         # (xn, a's gradient, w2's gradient); a and h's gradient die on
         # return. w2's gradient adds the batch rows' h_i^T g_i in row
-        # order, as _unbroadcast sums the batched product
-        xn = _affine(XH, gd, bd).reshape(shape_x)
-        a, cdf = pre_activation(xn), C.reshape(shape)
-        rows = (np.matmul((a[i] * cdf[i]).swapaxes(-1, -2), g[i])
-                for i in np.ndindex(shape[:-2]))
+        # order, as _unbroadcast sums the batched product, with the same
+        # bits: one [L, n] @ [L, d] product per row neither forms h nor the
+        # [B, n, d] products whole, and at [16, 128, 512] it took 8 ms
+        # against 14 ms for the batched product (1 BLAS thread, Xeon)
+        xn = _affine(XH, gd, bd)
+        a = pre_activation(xn)
+        rows = (np.matmul((a[i] * C[i]).swapaxes(-1, -2), g[i])
+                for i in np.ndindex(batch))
         gw = next(rows)
         for p in rows:
             gw += p
         dh = np.matmul(g, w2d.swapaxes(-1, -2))
-        return xn, _gelu_grad(_rows(a), C, _rows(dh)).reshape(shape), gw
+        return xn, _gelu_grad(a, C, dh), gw
 
     def vjp(g):
         xn, da, gw = grads(g)
@@ -610,14 +568,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
     draw = rng.random(draw_shape or x.data.shape)
     keep = draw[tuple(slice(n) for n in x.data.shape)] >= p
     scale = 1.0 / (1.0 - p)
-    K = _rows(keep)
 
     def masked(a):   # a * keep * scale, which is a * (keep / (1 - p))
-        out = np.empty(a.shape)
-        A, O = _rows(a), _rows(out)
-        for rows in _row_blocks(O):
-            np.multiply(A[rows], K[rows], out=O[rows])
-            O[rows] *= scale
+        out = np.multiply(a, keep)
+        out *= scale
         return out
 
     return Tensor._make(masked(x.data), (x,), lambda g: (masked(g),))

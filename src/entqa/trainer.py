@@ -17,6 +17,7 @@ from .checkpoint import atomic_write, restore_params
 from .corpus import QAExample
 from .model import Batch, ModelConfig
 from .optim import AdamState, adam_step
+from .splits import SPLITS
 from .tensor import GradientError, Tensor
 from .textpipe import Vocab, encode_pair
 
@@ -342,8 +343,9 @@ def run_matrix(splits_by_mode: dict, vocab: Vocab, model_config: ModelConfig,
     """Train the four-system comparison over >= 3 seeds.
 
     `splits_by_mode` maps "pl"/"r" to (train, val, test) example lists
-    sharing the same test set. Returns {(system, mode): {"f1": [...],
-    "em": [...]}} plus formatted rows.
+    sharing the same test set. Returns {"cells": {(system, mode): {"f1":
+    [...], "em": [...]}}, "table": formatted rows, "coverage": {mode:
+    {split: {"examples": handed to encode_examples, "pairs": kept}}}}.
     """
     seeds = list(seeds)
     if len(seeds) < 3:
@@ -351,9 +353,13 @@ def run_matrix(splits_by_mode: dict, vocab: Vocab, model_config: ModelConfig,
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:
             raise TrainError(f"run_matrix seed {seed} is repeated")
-    encoded = {mode: [encode_examples(x, vocab, model_config.max_seq_len)
-                      for x in split]
-               for mode, split in splits_by_mode.items()}
+    encoded, coverage = {}, {}
+    for mode, split in splits_by_mode.items():
+        encoded[mode] = [encode_examples(x, vocab, model_config.max_seq_len)
+                         for x in split]
+        coverage[mode] = {name: {"examples": len(x), "pairs": len(kept)}
+                          for name, x, kept in zip(SPLITS, split,
+                                                   encoded[mode])}
     cells = {}
     for system, split_mode in MATRIX_ROWS:
         train_pairs, val_pairs, test_pairs = encoded[split_mode]
@@ -368,7 +374,8 @@ def run_matrix(splits_by_mode: dict, vocab: Vocab, model_config: ModelConfig,
         cells[(system, split_mode)] = {"f1": f1s, "em": ems}
     if out_dir is not None:
         save_matrix(cells, out_dir)
-    return {"cells": cells, "table": format_matrix(cells)}
+    return {"cells": cells, "table": format_matrix(cells),
+            "coverage": coverage}
 
 
 def save_matrix(cells: dict, out_dir):

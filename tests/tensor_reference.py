@@ -1,15 +1,18 @@
 """Tensor ops that only the tests use.
 
 The package's graph needs none of these. The unfused ops (softmax,
-swapaxes, transpose, mean) build references for the fused attention node
-(see tests/test_model.py) and have their gradients checked alongside the
+swapaxes, transpose, mean) have their gradients checked alongside the
 package's ops (tests/test_tensor.py). The kernels below them are the
-plain whole-array expressions of GELU, layer norm, embedding, dropout and
-attention: the package computes the same expressions in blocks of rows,
-in owned buffers or (embedding's gradient) in one ``np.bincount``, and
+plain expressions of linear, GELU, layer norm, embedding, dropout and
+attention, each allocating a temporary per operation: the package
+computes the same operations in the same order in owned buffers filled
+in place (attention's softmax gradient one batch row at a time) or
+(embedding's gradient) in one ``np.bincount``, and
 tests/test_tensor_kernels.py requires the same bits. The pre-norm
 sublayers at the end chain those kernels into the graph of several nodes
-that the package's one-node ``attention`` and ``ffn`` replace.
+that the package's one-node ``attention`` and ``ffn`` replace;
+tests/test_model.py trains a model on these chains and requires the
+package's gradients.
 """
 
 import math
@@ -53,7 +56,7 @@ def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
     return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-# -- whole-array kernels: the oracle for the package's blocked ones ----------
+# -- plain kernels: the oracle for the package's in-place ones --------------
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data

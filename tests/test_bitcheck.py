@@ -5,7 +5,8 @@ hashes every output (about a minute per tree, so not here). These tests
 check what that run relies on: every protocol step is a command line
 entqa accepts, paths are relative so manifests match across trees, a
 manifest is hashed without its commit, and the JSON names the files that
-differ. No digest is pinned: model bits depend on the host's BLAS.
+differ and how far each metric moved. No digest is pinned: model bits
+depend on the host's BLAS.
 """
 
 import importlib.util
@@ -100,6 +101,33 @@ def test_metrics_layout(bitcheck, tmp_path):
                               "multitask_minus_fused": 2.5,
                               "r_minus_pl": 20.0}
     assert got["gradcheck_worst"] == 2e-5
+
+
+def _result(tree, em, f1_mean, worst, digest):
+    return {"tree": tree, "files": {"evals/m-test/report.json": digest},
+            "metrics": {"evals": {"m-test": {"n_examples": 4, "em": em}},
+                        "matrix": {"fused/r": {"f1_mean": f1_mean}},
+                        "margins": {}, "gradcheck_worst": worst}}
+
+
+def test_compare_reports_how_far_each_metric_moved(bitcheck, monkeypatch,
+                                                   capsys):
+    results = {"a": _result("a", 0.5, 90.0, 2e-5, "1"),
+               "b": _result("b", 0.75, 90.0, 1e-5, "2")}
+    monkeypatch.setattr(bitcheck, "run_tree",
+                        lambda tree: results[str(tree)])
+    assert bitcheck.main(["--compare", "a", "b"]) == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["differ"] == ["evals/m-test/report.json"]
+    assert out["moved"] == {
+        "evals.m-test.em": {"a": 0.5, "b": 0.75, "delta": 0.25},
+        "gradcheck_worst": {"a": 2e-5, "b": 1e-5, "delta": 1e-5 - 2e-5}}
+    moved_lines = [line for line in captured.err.splitlines()
+                   if line.startswith("moved: ")]
+    assert moved_lines == ["moved: evals.m-test.em 0.5 -> 0.75 (+0.25)",
+                           "moved: gradcheck_worst 2e-05 -> 1e-05 (-1e-05)"]
+    assert bitcheck.moved(results["a"], results["a"]) == {}
 
 
 def test_environment_names_what_the_bits_depend_on(bitcheck):

@@ -810,6 +810,31 @@ def test_run_matrix_refuses_repeated_seeds(workspace, tmp_path, capsys,
     assert "seed 3" in capsys.readouterr().err
 
 
+def test_run_matrix_records_coverage(workspace, tmp_path):
+    # each split mode's splits: the examples handed to the encoder and the
+    # pairs it kept, recomputed here from the corpus and the split seed
+    data = workspace / "data"
+    examples = list(read_dataset(data / "corpus.jsonl"))
+    vocab = Vocab.load(data / "vocab.txt")
+    want = {mode: {name: {"examples": len(part),
+                          "pairs": len(tr.encode_examples(part, vocab, 20))}
+                   for name, part in zip(cli.SPLITS, cli.filter_examples(
+                       examples, cli._assign(examples, mode, seed=1)))}
+            for mode in ("pl", "r")}
+    assert all(c["pairs"] < c["examples"]
+               for by_split in want.values() for c in by_split.values())
+    args = _training_args(workspace, tmp_path, "run-matrix")
+    assert main(args + ["--split-seed", "1", "--set", "model.hidden_dim=8",
+                        "--set", "model.layers=1", "--set", "model.heads=2",
+                        "--set", "model.entity_dim=4",
+                        "--set", "model.entity_heads=2",
+                        "--set", "model.max_seq_len=20",
+                        "--set", "model.ffn_mult=1",
+                        "--set", "train.epochs=1"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["coverage"] == want
+
+
 @pytest.mark.parametrize("seeds,bad", [("0,1,x", "'x'"), ("0,1,2,", "''")],
                          ids=["not_a_number", "trailing_comma"])
 def test_run_matrix_names_a_bad_seed(workspace, tmp_path, capsys,

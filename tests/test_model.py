@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -434,35 +433,6 @@ class TestDeterminism:
             np.testing.assert_array_equal(a[k].data, b[k].data)
 
 
-def _unfused_linear(x, w, b):
-    return x.matmul(w) + b
-
-
-def _unfused_attention(x, ln_g, ln_b, wq, bq, wk, wv, bv, wo, bo, heads,
-                       mask=None):
-    xn = ref.layer_norm(x, ln_g, ln_b)
-    b, l, d = x.shape
-
-    def split(x):
-        return ref.transpose(x.reshape(b, l, heads, d // heads), 0, 2, 1, 3)
-
-    q = split(_unfused_linear(xn, wq, bq))
-    k = split(xn.matmul(wk))
-    v = split(_unfused_linear(xn, wv, bv))
-    scores = q.matmul(ref.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    if mask is not None:
-        bias = np.where(mask, 0.0, T.MASK_NEG)
-        scores = scores + Tensor(bias[:, None, None, :])
-    att = ref.softmax(scores, axis=-1).matmul(v)
-    return _unfused_linear(ref.transpose(att, 0, 2, 1, 3).reshape(b, l, d),
-                           wo, bo)
-
-
-def _unfused_ffn(x, ln_g, ln_b, w1, b1, w2, b2):
-    xn = ref.layer_norm(x, ln_g, ln_b)
-    return _unfused_linear(ref.gelu(_unfused_linear(xn, w1, b1)), w2, b2)
-
-
 def _record_nodes(monkeypatch) -> list:
     """The list every later op result is appended to."""
     nodes = []
@@ -546,13 +516,13 @@ class TestLeanGraph:
 
     def test_gradients_equal_the_unfused_graph(self, small_config,
                                                monkeypatch):
-        # the reference builds each sublayer from tensor_reference's
-        # unfused ops, so the blocks do not call the package's nodes
+        # tensor_reference's chains of nodes stand in for each linear,
+        # layer norm and pre-norm sublayer node of the package
         config = dataclasses.replace(small_config, dropout=0.1)
         lean = self._train_step(config)
-        monkeypatch.setattr(T, "linear", _unfused_linear)
-        monkeypatch.setattr(T, "attention", _unfused_attention)
-        monkeypatch.setattr(T, "ffn", _unfused_ffn)
+        monkeypatch.setattr(T, "linear", ref.linear)
+        monkeypatch.setattr(T, "attention", ref.pre_norm_attention)
+        monkeypatch.setattr(T, "ffn", ref.pre_norm_ffn)
         monkeypatch.setattr(T, "layer_norm", ref.layer_norm)
         unfused = self._train_step(config)
         for name, p in lean.items():

@@ -322,6 +322,26 @@ def test_ffn_node_holds_its_cdf_and_no_pre_activation():
     assert kept <= held < kept + NODE_OVERHEAD
 
 
+def test_attention_vjp_scratch_is_one_batch_row():
+    # backward holds the recomputed probabilities y and their gradient gy,
+    # each [B, H, L, L]; the softmax gradient's gy * y goes one batch row
+    # at a time, so it adds one [H, L, L], not a third [B, H, L, L]. With
+    # d = 8 every [B, L, d] array is 1/64 of the probabilities
+    B, L, d, heads = 8, 128, 8, 4
+    ins = _sublayer_inputs([(B, L, d), (d,), (d,), (d, d), (d,), (d, d),
+                            (d, d), (d,), (d, d), (d,)], 17)
+    out = T.attention(*ins, heads)
+    g = np.random.default_rng(18).normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        out._node.vjp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    probs = 8 * B * heads * L * L
+    assert 2 * probs <= peak < 2 * probs + probs // 2, peak / probs
+
+
 @pytest.mark.parametrize("name,shapes,op", [
     ("attention", ATTENTION_SHAPES, lambda *a: T.attention(*a, 2, KEY_MASK)),
     ("ffn", FFN_SHAPES, T.ffn)], ids=["attention", "ffn"])

@@ -21,9 +21,11 @@ compare only results made on one host.
     python tools/bitcheck.py --compare A B [--out result.json]
 
 A tree is a directory holding ``src/entqa``, such as a checkout.
-``--compare`` runs both trees, prints each file that differs or that only
-one tree wrote, and exits 1 when there is any. A protocol step that fails
-exits 2.
+``--compare`` runs both trees, adds ``differ`` (each file that differs or
+that only one tree wrote) and ``moved`` (``{metric path: {"a", "b",
+"delta"}}`` for each numeric metric whose value differs, delta = b - a)
+to the JSON, prints one line for each to stderr, and exits 1 when any
+file differs. A protocol step that fails exits 2.
 """
 
 from __future__ import annotations
@@ -223,6 +225,24 @@ def differing(a: dict, b: dict) -> list:
                   if a["files"].get(name) != b["files"].get(name))
 
 
+def moved(a: dict, b: dict) -> dict:
+    """{metric path: {"a", "b", "delta"}} for each numeric metric both
+    results hold with different values; a path joins the keys with dots,
+    as in ``evals.multitask-test.em``."""
+    out = {}
+
+    def walk(x, y, path):
+        if isinstance(x, dict) and isinstance(y, dict):
+            for key in sorted(set(x) & set(y)):
+                walk(x[key], y[key], f"{path}.{key}" if path else key)
+        elif all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                 for v in (x, y)) and x != y:
+            out[path] = {"a": x, "b": y, "delta": y - x}
+
+    walk(a["metrics"], b["metrics"], "")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Hash every output of a fixed entqa protocol, or name "
@@ -237,7 +257,8 @@ def main(argv=None) -> int:
     try:
         if args.compare:
             a, b = (run_tree(tree) for tree in args.compare)
-            result = {"a": a, "b": b, "differ": differing(a, b)}
+            result = {"a": a, "b": b, "differ": differing(a, b),
+                      "moved": moved(a, b)}
         else:
             result = run_tree(args.tree)
     except ProtocolError as exc:
@@ -252,6 +273,9 @@ def main(argv=None) -> int:
     if args.compare:
         for name in result["differ"]:
             print(f"differs: {name}", file=sys.stderr)
+        for path, m in result["moved"].items():
+            print(f"moved: {path} {m['a']!r} -> {m['b']!r} "
+                  f"({m['delta']:+.6g})", file=sys.stderr)
         print(f"{len(result['differ'])} of {len(result['a']['files'])} "
               f"files differ", file=sys.stderr)
         return 1 if result["differ"] else 0
