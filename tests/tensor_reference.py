@@ -1,9 +1,7 @@
 """Tensor ops that only the tests use.
 
-The package's graph needs none of these. The unfused ops (softmax,
-swapaxes, transpose, mean) have their gradients checked alongside the
-package's ops (tests/test_tensor.py). The kernels below them are the
-plain expressions of linear, GELU, layer norm, embedding, dropout and
+The package's graph needs none of these. The kernels are the plain
+expressions of linear, GELU, layer norm, embedding, dropout and
 attention, each allocating a temporary per operation: the package
 computes the same operations in the same order in owned buffers filled
 in place (attention's softmax gradient one batch row at a time) or
@@ -32,28 +30,6 @@ def _softmax(xd: np.ndarray, axis: int) -> np.ndarray:
 
 def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return y * (g - (g * y).sum(axis=axis, keepdims=True))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along `axis`."""
-    y = _softmax(x.data, axis)
-    return Tensor._make(y, (x,), lambda g: (_softmax_vjp(y, g, axis),))
-
-
-def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    return Tensor._make(x.data.swapaxes(a, b), (x,),
-                        lambda g: (g.swapaxes(a, b),))
-
-
-def transpose(x: Tensor, *axes) -> Tensor:
-    inv = np.argsort(axes)
-    return Tensor._make(x.data.transpose(axes), (x,),
-                        lambda g: (g.transpose(inv),))
-
-
-def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 # -- plain kernels: the oracle for the package's in-place ones --------------

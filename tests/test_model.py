@@ -1,9 +1,16 @@
+import ctypes
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entqa
 import tensor_reference as ref
 from entqa import model as mdl
 from entqa import tensor as T
@@ -538,3 +545,98 @@ class TestGradcheckFragments:
             "lf_head", "full_model"}
         assert max(errors.values()) <= 1e-4, {
             k: v for k, v in errors.items() if v > 1e-4}
+
+
+# Acceptance-size training steps and eval forwards in a fresh process: after
+# warm-up, the minor page faults per call. In-suite, glibc's dynamic mmap
+# threshold would already have been raised by earlier tests.
+FAULT_PROBE = """
+import resource
+
+import numpy as np
+from entqa import model as mdl
+from entqa.model import Batch, ModelConfig, init_params
+
+B, L = 32, 48
+config = ModelConfig(vocab_size=200, hidden_dim=48, layers=1, heads=2,
+                     entity_dim=12, entity_heads=2, dropout=0.1,
+                     max_seq_len=L, ffn_mult=2)
+params = init_params(config, seed=0)
+rng = np.random.default_rng(0)
+mask = np.arange(L) < rng.integers(L // 2, L + 1, size=(B, 1))
+ctx = mask & (np.arange(L) >= 8)
+batch = Batch(token_ids=rng.integers(1, config.vocab_size, size=(B, L)) * mask,
+              segment_ids=ctx.astype(np.int64),
+              attention_mask=mask, entity_ids=rng.integers(
+                  0, config.entity_vocab_size, size=(B, L)) * mask,
+              context_mask=ctx, answer_start=np.full(B, 9),
+              answer_end=np.full(B, 11),
+              lf_ids=rng.integers(0, config.num_lf_classes, size=B))
+
+
+def train_step():
+    out = mdl.forward(params, config, batch, train=True, rng=rng)
+    mdl.multitask_loss(out, batch.answer_start, batch.answer_end,
+                       batch.lf_ids, config.omega).total.backward()
+
+
+def eval_forward():
+    mdl.forward(params, config, batch)
+
+
+def faults_per_call(fn, warm=5, timed=20):
+    for _ in range(warm):
+        fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(timed):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / timed
+
+
+print(faults_per_call(train_step), faults_per_call(eval_forward))
+"""
+
+
+class TestAllocator:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the thresholds are glibc's")
+    def test_steps_fault_in_no_freed_heap(self):
+        # without the thresholds a step faulted 1952-4080 times, a forward
+        # up to 1952
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(root / "src"),
+                                     os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                             stdout=subprocess.PIPE, text=True, check=True,
+                             timeout=120)
+        train, forward = map(float, run.stdout.split())
+        assert train <= 100, f"{train} minor faults per training step"
+        assert forward <= 100, f"{forward} minor faults per eval forward"
+
+    def test_thresholds_are_set_once_each(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        entqa._keep_freed_heap()
+        assert calls == [(-3, 64 << 20), (-1, 256 << 20)]
+
+    @pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
+    def test_no_glibc_does_nothing(self, monkeypatch, libc):
+        # musl and macOS: `import entqa` must still work
+        calls = []
+
+        def cdll(name):
+            calls.append(name)
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        entqa._keep_freed_heap()
+        assert calls == [None]

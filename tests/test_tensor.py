@@ -46,8 +46,6 @@ OPS = [
     ("linear", [(2, 3, 4), (4, 5), (5,)], T.linear),
     ("ffn", FFN_SHAPES, T.ffn),
     ("reshape", [(2, 3, 4)], lambda a: a.reshape(6, 4)),
-    ("swapaxes", [(2, 3, 4)], lambda a: ref.swapaxes(a, -1, -2)),
-    ("transpose", [(2, 3, 4)], lambda a: ref.transpose(a, 1, 2, 0)),
     ("getitem_slice", [(3, 4)], lambda a: a[:, 1:3]),
     ("getitem_int_and_slice", [(2, 3, 4)], lambda a: a[:, 0]),
     ("getitem_repeated_fancy", [(3, 4)], lambda a: a[np.array([0, 2, 0, 0])]),
@@ -57,10 +55,7 @@ OPS = [
     ("sum_axis", [(2, 3, 4)], lambda a: a.sum(axis=1)),
     ("sum_axis_keepdims", [(2, 3, 4)], lambda a: a.sum(axis=-1, keepdims=True)),
     ("sum_all_keepdims", [(2, 3)], lambda a: a.sum(keepdims=True)),
-    ("mean_axis", [(2, 3, 4)], lambda a: ref.mean(a, axis=0)),
     ("gelu", [(2, 5)], T.gelu),
-    ("softmax_last", [(2, 3, 4)], ref.softmax),
-    ("softmax_axis0", [(3, 4)], lambda a: ref.softmax(a, axis=0)),
     ("layer_norm", [(2, 3, 5), (5,), (5,)], T.layer_norm),
     ("embedding_repeated_ids", [(4, 3)],
      lambda t: T.embedding(t, np.array([[0, 2, 0], [1, 1, 3]]))),
@@ -497,12 +492,6 @@ class TestAttention:
 
 
 class TestOtherOps:
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            x = ref.softmax(Tensor(rng.normal(size=(5, 7)) * 10))
-            np.testing.assert_allclose(x.data.sum(axis=-1), 1.0, atol=1e-9)
-
     def test_layer_norm_stats(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(6, 32)) * 3 + 1)
