@@ -354,7 +354,8 @@ def cmd_run_matrix(args) -> int:
         raise CliError(f"--seeds takes comma-separated seeds: {exc}")
     out = Path(args.out)
     result = tr.run_matrix(splits_by_mode, vocab, model_config, train_config,
-                           seeds, out_dir=out)
+                           seeds)
+    table = tr.save_matrix(result["cells"], out)
     resolved = {"model": dataclasses.asdict(model_config),
                 "train": dataclasses.asdict(train_config),
                 "seeds": seeds, "split_seed": args.split_seed}
@@ -365,7 +366,7 @@ def cmd_run_matrix(args) -> int:
                  for (system, mode), cell in result["cells"].items()}
         print(json.dumps(cells, sort_keys=True))
     else:
-        print(result["table"], end="")
+        print(table, end="")
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ character spans inside the evidence sentence.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections import Counter
@@ -351,10 +352,6 @@ class Fact:
     sentence_idx: int
     answer_char_span: tuple  # (start, end) within the realizing sentence
 
-    @property
-    def answer_text(self) -> str:
-        return self.slots[LOGICAL_FORMS[self.lf_id].answer_slot]
-
 
 @dataclass
 class Note:
@@ -371,6 +368,13 @@ class ConfigurationError(ValueError):
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
+@functools.cache
+def _pieces(template: str) -> tuple:
+    """The template's literals and placeholder names, alternating; each
+    template is parsed once, since paragraphs render thousands."""
+    return tuple(_PLACEHOLDER_RE.split(template))
+
+
 def _render(template: str, values: dict,
             answer_key: str) -> tuple[str, tuple, list]:
     """Fill a sentence template, returning the answer's char span and a
@@ -379,19 +383,14 @@ def _render(template: str, values: dict,
     pos = 0
     span = None
     tags = []
-    last = 0
-    for m in _PLACEHOLDER_RE.finditer(template):
-        lit = template[last:m.start()]
-        out.append(lit)
-        pos += len(lit)
-        val = values[m.group(1)]
-        if m.group(1) == answer_key:
-            span = (pos, pos + len(val))
-        tags += _tags_for(val, pos)
-        out.append(val)
-        pos += len(val)
-        last = m.end()
-    out.append(template[last:])
+    for i, piece in enumerate(_pieces(template)):
+        if i % 2:   # a placeholder's name
+            name, piece = piece, values[piece]
+            if name == answer_key:
+                span = (pos, pos + len(piece))
+            tags += _tags_for(piece, pos)
+        out.append(piece)
+        pos += len(piece)
     return "".join(out), span, tags
 
 
@@ -411,16 +410,12 @@ def _draw(rng, source: str, used: dict) -> str:
     return pick
 
 
-# each distractor template split around its one placeholder, parsed once
-_DISTRACTORS = [re.fullmatch(r"(.*)\{([a-z_]+)\}(.*)", t).groups()
-                for t in DISTRACTOR_TEMPLATES]
-
-
 def _make_distractor(rng, used: dict) -> tuple[str, list]:
     """A sentence that answers no question, and its tags."""
-    before, slot, after = _DISTRACTORS[rng.integers(len(_DISTRACTORS))]
-    value = _draw(rng, slot, used)
-    return before + value + after, _tags_for(value, len(before))
+    tpl = DISTRACTOR_TEMPLATES[rng.integers(len(DISTRACTOR_TEMPLATES))]
+    slot = _pieces(tpl)[1]   # its one placeholder
+    sentence, _, tags = _render(tpl, {slot: _draw(rng, slot, used)}, slot)
+    return sentence, tags
 
 
 def generate_corpus(seed: int, num_notes: int, facts_per_note: int = 6,
@@ -682,27 +677,33 @@ def write_dataset(examples, path):
 
 def read_dataset(path):
     """Yield QAExamples one line at a time; a record that fails its
-    check raises a DatasetError naming the line and the field."""
+    check raises a DatasetError naming the line and the field, and a file
+    that is not UTF-8 one naming the file."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"malformed JSON at line {lineno}: {e}") from e
-            if not isinstance(obj, dict):
-                raise DatasetError(f"line {lineno}: not a JSON object")
-            for key in REQUIRED_FIELDS:
-                if key not in obj:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
                     raise DatasetError(
-                        f"line {lineno}: missing required field '{key}'")
-            unknown = [k for k in obj if k not in REQUIRED_FIELDS]
-            if unknown:
-                raise DatasetError(f"line {lineno}: unknown field '{unknown[0]}'")
-            try:
-                example = QAExample(**obj)
-            except DatasetError as e:
-                raise DatasetError(f"line {lineno}: {e}") from e
-            yield example
+                        f"malformed JSON at line {lineno}: {e}") from e
+                if not isinstance(obj, dict):
+                    raise DatasetError(f"line {lineno}: not a JSON object")
+                for key in REQUIRED_FIELDS:
+                    if key not in obj:
+                        raise DatasetError(
+                            f"line {lineno}: missing required field '{key}'")
+                unknown = [k for k in obj if k not in REQUIRED_FIELDS]
+                if unknown:
+                    raise DatasetError(
+                        f"line {lineno}: unknown field '{unknown[0]}'")
+                try:
+                    example = QAExample(**obj)
+                except DatasetError as e:
+                    raise DatasetError(f"line {lineno}: {e}") from e
+                yield example
+        except UnicodeDecodeError as e:
+            raise DatasetError(f"corpus {path} is not UTF-8 text: {e}") from e

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .checkpoint import atomic_write
-from .corpus import LOGICAL_FORMS
+from .corpus import LOGICAL_FORMS, NUM_LF
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -86,20 +86,18 @@ def _class_scores(preds, golds, num_classes: int, weighted: bool) -> PRF:
     return PRF(*(sum((w * v).tolist()) for v in (p, r, f)))
 
 
-def lf_exact_scores(preds, golds, num_classes: int | None = None,
-                    weighted: bool = True) -> PRF:
-    """Support-weighted per-class P/R/F1 over logical-form class ids."""
+def lf_exact_scores(preds, golds, weighted: bool = True) -> PRF:
+    """Per-class P/R/F1 over the NUM_LF logical-form class ids, averaged
+    with support weights (or uniform ones, `weighted=False`)."""
     preds, golds = list(preds), list(golds)
     if not preds or len(preds) != len(golds):
         raise MetricError(
             f"need equal non-empty prediction/gold lists, got "
             f"{len(preds)}/{len(golds)}")
-    if num_classes is None:
-        num_classes = len(LOGICAL_FORMS)
-    for v in list(preds) + list(golds):
-        if v not in range(num_classes):
+    for v in preds + golds:
+        if v not in range(NUM_LF):
             raise MetricError(f"unknown class id {v}")
-    return _class_scores(preds, golds, num_classes, weighted)
+    return _class_scores(preds, golds, NUM_LF, weighted)
 
 
 def lf_relaxed_scores(preds, golds) -> PRF:

@@ -244,7 +244,7 @@ def _dropout(x: Tensor, config: ModelConfig, rng, train) -> Tensor:
     get at full width, so seeded runs do not depend on the trimming."""
     b, _, d = x.shape
     return T.dropout(x, config.dropout, rng, train,
-                     draw_shape=(b, config.max_seq_len, d))
+                     (b, config.max_seq_len, d))
 
 
 def _attn_block(x: Tensor, params, prefix, heads, mask, config, rng, train):
@@ -429,7 +429,7 @@ def _tiny_batch(config: ModelConfig, rng) -> Batch:
                  lf_ids=rng.integers(0, config.num_lf_classes, size=b))
 
 
-def fragment_gradchecks(seed: int = 0) -> dict:
+def fragment_gradchecks(seed: int) -> dict:
     """Finite-difference checks for every differentiable fragment.
 
     Returns {"fragment/param": max relative error}.

@@ -101,18 +101,20 @@ class SplitAssignment:
                 raise DatasetError(f"bad split file {path}: {exc}") from exc
 
 
-def split_notes(note_ids, ratios: tuple, seed: int):
-    """Seeded shuffle then proportional cut into train/val/test id sets."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise SplitError(f"ratios must sum to 1, got {ratios}")
+SPLITS = ("train", "val", "test")   # the parts filter_examples returns
+SPLIT_RATIOS = (0.7, 0.15, 0.15)   # train / val / test share of notes
+
+
+def split_notes(note_ids, seed: int):
+    """Seeded shuffle then a SPLIT_RATIOS cut into train/val/test id sets."""
     note_ids = sorted(note_ids)
     n = len(note_ids)
-    if n < sum(1 for r in ratios if r > 0):
-        raise SplitError(f"only {n} notes for {len(ratios)} splits")
+    if n < len(SPLITS):
+        raise SplitError(f"only {n} notes for {len(SPLITS)} splits")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_train = round(ratios[0] * n)
-    n_val = round(ratios[1] * n)
+    n_train = round(SPLIT_RATIOS[0] * n)
+    n_val = round(SPLIT_RATIOS[1] * n)
     shuffled = [note_ids[i] for i in order]
     train = set(shuffled[:n_train])
     val = set(shuffled[n_train:n_train + n_val])
@@ -145,14 +147,10 @@ def partition_templates(templates_by_lf: dict, train_frac: float, seed: int):
     return qt_train, qt_eval
 
 
-SPLITS = ("train", "val", "test")   # the parts filter_examples returns
-SPLIT_RATIOS = (0.7, 0.15, 0.15)   # train / val / test share of notes
-
-
 def make_assignment(notes, templates, mode: str, seed: int,
                     train_frac: float = 0.7) -> SplitAssignment:
     note_ids = [n.note_id for n in notes]
-    train_n, val_n, test_n = split_notes(note_ids, SPLIT_RATIOS, seed)
+    train_n, val_n, test_n = split_notes(note_ids, seed)
     by_lf: dict[int, list] = {}
     for t in templates:
         by_lf.setdefault(t.lf_id, []).append(t.template_id)

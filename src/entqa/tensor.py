@@ -2,7 +2,7 @@
 
 Just enough machinery to train a small transformer QA stack on CPU, and
 no op the package does not call: broadcast ``+`` and ``*``, stacked
-matmul, ``reshape``, indexing, ``sum``, ``linear``, ``gelu``,
+matmul, ``reshape``, indexing, ``sum`` to a scalar, ``linear``, ``gelu``,
 ``layer_norm``, the pre-norm sublayers ``attention`` and ``ffn``,
 ``embedding``, ``dropout`` and the fused cross-entropy losses, which
 ``gradcheck`` audits by finite differences. No GPU, no broadcasting rules
@@ -269,16 +269,10 @@ class Tensor:
 
         return Tensor._make(self.data[idx], (self,), vjp)
 
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
+    def sum(self) -> "Tensor":
         shape = self.data.shape
-
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape),)
-
-        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims),
-                            (self,), vjp)
+        return Tensor._make(self.data.sum(), (self,),
+                            lambda g: (np.broadcast_to(g, shape),))
 
 
 def _check_matmul(a: np.ndarray, b: np.ndarray):
@@ -392,7 +386,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
               wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
-              heads: int, mask: np.ndarray | None = None) -> Tensor:
+              heads: int, mask: np.ndarray) -> Tensor:
     """The pre-norm attention sublayer wo(attn(layer_norm(x))), one node.
 
     x is [B, L, d]. Its layer norm (gain ln_g, bias ln_b) is projected to
@@ -415,8 +409,7 @@ def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
     bqd, bvd = bq.data, bv.data
     scale = 1.0 / math.sqrt(dh)
     # bias applies along the key axis, for every head and query
-    bias = (None if mask is None else
-            np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG))
+    bias = np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG)
 
     def split(a):   # [B, L, d] -> [B, H, L, dh] view
         return a.reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
@@ -436,8 +429,7 @@ def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
         # softmax(q k^T * scale + bias) over keys, in the scores' buffer
         y = np.matmul(qh, kt)
         y *= scale
-        if bias is not None:
-            y += bias[:, None, None, :]
+        y += bias[:, None, None, :]
         y -= y.max(axis=-1, keepdims=True)
         np.exp(y, out=y)
         y /= y.sum(axis=-1, keepdims=True)
@@ -556,16 +548,16 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
-            draw_shape: tuple | None = None) -> Tensor:
+            draw_shape: tuple) -> Tensor:
     """Inverted dropout; identity when not training or p == 0.
 
-    The mask is drawn at `draw_shape` (default: x's shape) and its leading
-    corner of x's shape is used, so an entry's mask does not depend on how
-    far x was cut short of `draw_shape`.
+    The mask is drawn at `draw_shape` and its leading corner of x's shape
+    is used, so an entry's mask does not depend on how far x was cut
+    short of `draw_shape`.
     """
     if not train or p <= 0.0:
         return x
-    draw = rng.random(draw_shape or x.data.shape)
+    draw = rng.random(draw_shape)
     keep = draw[tuple(slice(n) for n in x.data.shape)] >= p
     scale = 1.0 / (1.0 - p)
 

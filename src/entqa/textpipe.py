@@ -25,7 +25,7 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
 
 
 class EncodingError(ValueError):
-    """Raised when a pair cannot be encoded under the length budget."""
+    """A pair over the length budget, or a vocabulary file not in UTF-8."""
 
 
 def tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -41,9 +41,9 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
 class Vocab:
     """Token-to-id map with fixed reserved ids."""
 
-    def __init__(self, tokens: list[str] | None = None):
+    def __init__(self, tokens: list[str]):
         self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(RESERVED)}
-        for t in tokens or []:
+        for t in tokens:
             if t not in self._token_to_id:
                 self._token_to_id[t] = len(self._token_to_id)
         self._id_to_token = {i: t for t, i in self._token_to_id.items()}
@@ -67,8 +67,13 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        """A saved vocabulary; one not in UTF-8 raises EncodingError."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        except UnicodeDecodeError as exc:
+            raise EncodingError(
+                f"vocabulary {path} is not UTF-8 text: {exc}") from exc
         return cls(tokens)
 
 
@@ -100,8 +105,7 @@ def _entity_ids_for(tokens, tags: list) -> list[int]:
 
 
 def encode_pair(question: str, context: str, vocab: Vocab, max_seq_len: int,
-                question_tags: list | None = None,
-                context_tags: list | None = None,
+                question_tags: list, context_tags: list,
                 answer_char_span: tuple[int, int] | None = None) -> EncodedPair:
     """Encode a question/context pair; context truncated from the right.
 
@@ -130,8 +134,8 @@ def encode_pair(question: str, context: str, vocab: Vocab, max_seq_len: int,
     attention_mask = np.zeros(max_seq_len, dtype=bool)
     attention_mask[:n] = True
     entity_ids = np.zeros(max_seq_len, dtype=np.int64)
-    entity_ids[1:ctx.start - 1] = _entity_ids_for(q_toks, question_tags or [])
-    entity_ids[ctx] = _entity_ids_for(c_kept, context_tags or [])
+    entity_ids[1:ctx.start - 1] = _entity_ids_for(q_toks, question_tags)
+    entity_ids[ctx] = _entity_ids_for(c_kept, context_tags)
     context_mask = np.zeros(max_seq_len, dtype=bool)
     context_mask[ctx] = True
     token_offsets = np.full((max_seq_len, 2), -1, dtype=np.int64)

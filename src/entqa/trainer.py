@@ -49,8 +49,9 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 1), ("patience", 1),
                           ("lr", 0), ("weight_decay", 0)):
-            if getattr(self, name) < low:
-                raise TrainError(f"{name} must be >= {low}, "
+            # NaN compares False with everything; JSON reads NaN and Infinity
+            if not low <= getattr(self, name) < math.inf:
+                raise TrainError(f"{name} must be finite and >= {low}, "
                                  f"got {getattr(self, name)}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise TrainError("warmup_frac must be in [0, 1)")
@@ -315,10 +316,9 @@ def evaluate_pairs(params, config: ModelConfig, pairs,
         report.evidence = M.evidence_scores(
             ev_preds, packed.evidence_labels.tolist())
     if include_lf:
-        report.lf_exact = M.lf_exact_scores(lf_preds, lf_golds,
-                                            config.num_lf_classes)
-        report.lf_exact_macro = M.lf_exact_scores(
-            lf_preds, lf_golds, config.num_lf_classes, weighted=False)
+        report.lf_exact = M.lf_exact_scores(lf_preds, lf_golds)
+        report.lf_exact_macro = M.lf_exact_scores(lf_preds, lf_golds,
+                                                  weighted=False)
         report.lf_relaxed = M.lf_relaxed_scores(lf_preds, lf_golds)
         report.confusion = M.confusion_matrix(
             lf_preds, lf_golds, config.num_lf_classes).tolist()
@@ -338,14 +338,14 @@ MATRIX_ROWS = (
 
 
 def run_matrix(splits_by_mode: dict, vocab: Vocab, model_config: ModelConfig,
-               train_config: TrainConfig, seeds,
-               out_dir=None) -> dict:
-    """Train the four-system comparison over >= 3 seeds.
+               train_config: TrainConfig, seeds) -> dict:
+    """Train the four-system comparison over >= 3 seeds; writes no file
+    (save_matrix does).
 
     `splits_by_mode` maps "pl"/"r" to (train, val, test) example lists
     sharing the same test set. Returns {"cells": {(system, mode): {"f1":
-    [...], "em": [...]}}, "table": formatted rows, "coverage": {mode:
-    {split: {"examples": handed to encode_examples, "pairs": kept}}}}.
+    [...], "em": [...]}}, "coverage": {mode: {split: {"examples": handed
+    to encode_examples, "pairs": kept}}}}.
     """
     seeds = list(seeds)
     if len(seeds) < 3:
@@ -372,14 +372,12 @@ def run_matrix(splits_by_mode: dict, vocab: Vocab, model_config: ModelConfig,
             f1s.append(report.token_f1 * 100)
             ems.append(report.em * 100)
         cells[(system, split_mode)] = {"f1": f1s, "em": ems}
-    if out_dir is not None:
-        save_matrix(cells, out_dir)
-    return {"cells": cells, "table": format_matrix(cells),
-            "coverage": coverage}
+    return {"cells": cells, "coverage": coverage}
 
 
-def save_matrix(cells: dict, out_dir):
-    """Write `matrix.csv` and `matrix.txt` (format_matrix) to `out_dir`."""
+def save_matrix(cells: dict, out_dir) -> str:
+    """Write `matrix.csv` and `matrix.txt` to `out_dir`; returns the
+    table written to `matrix.txt` (format_matrix)."""
     os.makedirs(out_dir, exist_ok=True)
     with atomic_write(os.path.join(out_dir, "matrix.csv"),
                       encoding="utf-8") as fh:
@@ -390,7 +388,9 @@ def save_matrix(cells: dict, out_dir):
                      f"{np.std(cell['em']):.2f}\n")
     with atomic_write(os.path.join(out_dir, "matrix.txt"),
                       encoding="utf-8") as fh:
-        fh.write(format_matrix(cells))
+        table = format_matrix(cells)
+        fh.write(table)
+    return table
 
 
 def format_matrix(cells: dict) -> str:

@@ -80,17 +80,17 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
-            draw_shape: tuple | None = None) -> Tensor:
+            draw_shape: tuple) -> Tensor:
     if not train or p <= 0.0:
         return x
-    draw = rng.random(draw_shape or x.data.shape)
+    draw = rng.random(draw_shape)
     keep = draw[tuple(slice(n) for n in x.data.shape)] >= p
     return Tensor._make(x.data * (keep / (1.0 - p)), (x,),
                         lambda g: (g * (keep / (1.0 - p)),))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              mask: np.ndarray | None = None) -> Tensor:
+              mask: np.ndarray) -> Tensor:
     B, L, d = q.shape
     dh = d // heads
 
@@ -102,10 +102,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     qd, kt, vd = split(q.data), split(k.data).swapaxes(-1, -2), split(v.data)
     scale = 1.0 / math.sqrt(dh)
-    scores = np.matmul(qd, kt) * scale
-    if mask is not None:
-        bias = np.where(np.asarray(mask, dtype=bool), 0.0, T.MASK_NEG)
-        scores = scores + bias[:, None, None, :]
+    bias = np.where(np.asarray(mask, dtype=bool), 0.0, T.MASK_NEG)
+    scores = np.matmul(qd, kt) * scale + bias[:, None, None, :]
     y = _softmax(scores, -1)
 
     def vjp(g):
@@ -123,7 +121,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 def pre_norm_attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor,
                        bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
                        wo: Tensor, bo: Tensor, heads: int,
-                       mask: np.ndarray | None = None) -> Tensor:
+                       mask: np.ndarray) -> Tensor:
     xn = layer_norm(x, ln_g, ln_b)
     att = attention(linear(xn, wq, bq), xn.matmul(wk), linear(xn, wv, bv),
                     heads, mask)

@@ -271,8 +271,8 @@ def test_criterion_6_directional_generalization(matrix):
     base = _cell_f1(matrix, "baseline", "pl")
     fused = _cell_f1(matrix, "fused", "pl")
     multi = _cell_f1(matrix, "multitask", "pl")
-    assert fused - base >= 1.0, matrix["table"]
-    assert multi - fused >= 1.0, matrix["table"]
+    assert fused - base >= 1.0, tr.format_matrix(matrix["cells"])
+    assert multi - fused >= 1.0, tr.format_matrix(matrix["cells"])
     assert matrix["elapsed"] < 1800
     print(f"\nPASS criterion 6: fused {fused:.2f} > baseline {base:.2f} "
           f"(+{fused - base:.2f}) and multitask {multi:.2f} > fused "
@@ -287,7 +287,7 @@ def test_criterion_6_directional_generalization(matrix):
 def test_criterion_7_upper_bound_ordering(matrix):
     fused_pl = _cell_f1(matrix, "fused", "pl")
     fused_r = _cell_f1(matrix, "fused", "r")
-    assert fused_r >= fused_pl, matrix["table"]
+    assert fused_r >= fused_pl, tr.format_matrix(matrix["cells"])
     print(f"\nPASS criterion 7: fused on r split {fused_r:.2f} >= fused on "
           f"pl split {fused_pl:.2f} on the shared test set (3 seeds)")
 

@@ -810,9 +810,11 @@ def test_run_matrix_refuses_repeated_seeds(workspace, tmp_path, capsys,
     assert "seed 3" in capsys.readouterr().err
 
 
-def test_run_matrix_records_coverage(workspace, tmp_path):
+def test_run_matrix_records_coverage(workspace, tmp_path, capsys):
     # each split mode's splits: the examples handed to the encoder and the
-    # pairs it kept, recomputed here from the corpus and the split seed
+    # pairs it kept, recomputed here from the corpus and the split seed;
+    # the command writes the matrix files beside the manifest and prints
+    # the table it wrote
     data = workspace / "data"
     examples = list(read_dataset(data / "corpus.jsonl"))
     vocab = Vocab.load(data / "vocab.txt")
@@ -831,8 +833,14 @@ def test_run_matrix_records_coverage(workspace, tmp_path):
                         "--set", "model.max_seq_len=20",
                         "--set", "model.ffn_mult=1",
                         "--set", "train.epochs=1"]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["coverage"] == want
+    header, *rows = (out / "matrix.csv").read_text().splitlines()
+    assert header == "system,split,f1_mean,f1_sd,em_mean,em_sd"
+    assert [row.split(",")[:2] for row in rows] == [
+        [system, mode] for system, mode in tr.MATRIX_ROWS]
+    assert capsys.readouterr().out == (out / "matrix.txt").read_text()
 
 
 @pytest.mark.parametrize("seeds,bad", [("0,1,x", "'x'"), ("0,1,2,", "''")],
@@ -916,6 +924,9 @@ def test_mistyped_value_exits_2(workspace, tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("key,value", [
     ("train.epochs", 0), ("train.batch_size", 0), ("train.patience", 0),
     ("train.lr", -1e-3), ("train.weight_decay", -1.0),
+    # JSON reads NaN and Infinity, and NaN < 0 is False
+    ("train.lr", math.nan), ("train.lr", math.inf),
+    ("train.weight_decay", math.nan), ("train.weight_decay", math.inf),
     ("model.dropout", 1.0), ("model.dropout", -0.5),
     ("model.entity_heads", 0), ("model.ffn_mult", 0), ("model.ffn_mult", -1),
     ("model.entity_attention_layers", -1)])
@@ -925,6 +936,24 @@ def test_out_of_range_value_exits_2(workspace, tmp_path, capsys, monkeypatch,
     args = _training_args(workspace, tmp_path, command)
     assert main(args + _setting(tmp_path, "set", key, value)) == 2
     assert key.partition(".")[2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "run-matrix"])
+@pytest.mark.parametrize("bad", ["corpus.jsonl", "vocab.txt"])
+def test_file_not_in_utf8_exits_3(workspace, tmp_path, capsys, monkeypatch,
+                                  command, bad):
+    # a data integrity error that names the file, not a usage error with
+    # the bare codec message
+    _no_training(monkeypatch)
+    data = workspace / "data"
+    path = tmp_path / bad
+    path.write_bytes((data / bad).read_bytes() + b"\xff\xfe\n")
+    args = _training_args(workspace, tmp_path, command)
+    args[args.index(str(data / bad))] = str(path)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "not UTF-8" in err
+    assert not (tmp_path / "out").exists()
 
 
 # a valid value other than the default for every settable field

@@ -134,7 +134,8 @@ class TestGenerateCorpus:
                 for surface in fact.slots.values():
                     assert surface in sent
                 cs, ce = fact.answer_char_span
-                assert sent[cs:ce] == fact.answer_text
+                answer_slot = C.LOGICAL_FORMS[fact.lf_id].answer_slot
+                assert sent[cs:ce] == fact.slots[answer_slot]
 
     def test_bad_config(self):
         with pytest.raises(C.ConfigurationError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entqa import metrics as M
-from entqa.corpus import LOGICAL_FORMS, lf_tokenize
+from entqa.corpus import LOGICAL_FORMS, NUM_LF, lf_tokenize
 from entqa.metrics import (EvalReport, MetricError, confusion_matrix,
                            evidence_scores, lf_exact_scores,
                            lf_relaxed_scores, normalize_answer, span_em,
@@ -101,14 +101,15 @@ def brute_force_prf(preds, golds, classes, weighted):
 class TestLfExact:
     def test_two_class_collapse(self):
         # predicting the majority class everywhere: class 1 has P=2/3,R=1,
-        # class 0 P=R=0; weighted F1 = (1/3)*0 + (2/3)*0.8
+        # class 0 P=R=0; weighted F1 = (1/3)*0 + (2/3)*0.8 (the other
+        # forms have no support, so no weight)
         preds = [1, 1, 1]
         golds = [0, 1, 1]
-        prf = lf_exact_scores(preds, golds, num_classes=2)
+        prf = lf_exact_scores(preds, golds)
         assert prf.f1 == pytest.approx((2 / 3) * 0.8)
 
     def test_perfect(self):
-        prf = lf_exact_scores([0, 1, 2], [0, 1, 2], num_classes=3)
+        prf = lf_exact_scores([0, 1, 2], [0, 1, 2])
         assert (prf.precision, prf.recall, prf.f1) == (1.0, 1.0, 1.0)
 
     def test_weighted_matches_oracle(self):
@@ -118,10 +119,10 @@ class TestLfExact:
             k = int(rng.integers(2, 9))
             preds = rng.integers(0, k, size=n).tolist()
             golds = rng.integers(0, k, size=n).tolist()
-            prf = lf_exact_scores(preds, golds, num_classes=k)
+            prf = lf_exact_scores(preds, golds)
             # same per-class arithmetic, summed in class order: exact
             assert (prf.precision, prf.recall, prf.f1) == brute_force_prf(
-                preds, golds, range(k), weighted=True)
+                preds, golds, range(NUM_LF), weighted=True)
 
     def test_macro_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -130,14 +131,15 @@ class TestLfExact:
             k = int(rng.integers(2, 9))
             preds = rng.integers(0, k, size=n).tolist()
             golds = rng.integers(0, k, size=n).tolist()
-            prf = lf_exact_scores(preds, golds, num_classes=k, weighted=False)
+            # uniform weights over every form, those absent here included
+            prf = lf_exact_scores(preds, golds, weighted=False)
             assert (prf.precision, prf.recall, prf.f1) == brute_force_prf(
-                preds, golds, range(k), weighted=False)
+                preds, golds, range(NUM_LF), weighted=False)
 
     def test_unknown_class(self):
         for bad in (9, -1, 2.5):
             with pytest.raises(MetricError):
-                lf_exact_scores([bad], [0], num_classes=9)
+                lf_exact_scores([bad], [0])
 
     def test_empty(self):
         with pytest.raises(MetricError):

@@ -141,7 +141,7 @@ def test_dropout_bits(name, shape, p):
     x = rng.normal(size=shape)
     # a draw wider than x, as the model draws at max_seq_len
     draw_shape = shape[:-2] + (shape[-2] + 3, shape[-1]) if len(shape) > 2 \
-        else None
+        else shape
 
     def op(module):
         return lambda a: module.dropout(a, p, np.random.default_rng(5), True,
@@ -216,6 +216,7 @@ def test_attention_bits(name, shape, heads, masked):
     B, L, d = shape
     rng = np.random.default_rng(4)
     arrays = _sublayer_arrays("attention", shape, rng)
-    mask = _key_mask(rng, B, L) if masked else None
+    # unmasked: every key kept, as in a batch of full-length rows
+    mask = _key_mask(rng, B, L) if masked else np.ones((B, L), dtype=bool)
     _check_sublayer("attention", arrays, rng, heads=heads, mask=mask)
 

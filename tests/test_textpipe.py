@@ -66,8 +66,7 @@ class TestEncodePair:
 
     def test_answer_token_span(self):
         pair = encode_pair(
-            "dose of aspirin ?", CONTEXT, self.vocab, 32,
-            context_tags=CONTEXT_TAGS,
+            "dose of aspirin ?", CONTEXT, self.vocab, 32, [], CONTEXT_TAGS,
             answer_char_span=(8, 13))
         s, e = pair.answer_start_tok, pair.answer_end_tok
         assert s > 0 and e >= s
@@ -76,11 +75,11 @@ class TestEncodePair:
 
     def test_no_tags_all_zero(self):
         pair = encode_pair("dose of aspirin ?", "aspirin 40 mg daily",
-                           self.vocab, 32)
+                           self.vocab, 32, [], [])
         assert (pair.entity_ids == 0).all()
 
     def test_padding_contract(self):
-        pair = encode_pair("dose ?", "aspirin daily", self.vocab, 32)
+        pair = encode_pair("dose ?", "aspirin daily", self.vocab, 32, [], [])
         used = pair.attention_mask.sum()
         assert (pair.token_ids[used:] == 0).all()
         assert not pair.attention_mask[used:].any()
@@ -88,8 +87,8 @@ class TestEncodePair:
         assert len(pair.token_ids) == 32
 
     def test_entity_alignment_intersects(self):
-        pair = encode_pair("dose ?", CONTEXT, self.vocab, 32,
-                           context_tags=CONTEXT_TAGS)
+        pair = encode_pair("dose ?", CONTEXT, self.vocab, 32, [],
+                           CONTEXT_TAGS)
         ctx_positions = np.flatnonzero(pair.context_mask)
         types = pair.entity_ids[ctx_positions]
         # aspirin -> clnd(id), 40 mg -> qnco over two tokens, daily -> 0
@@ -100,25 +99,25 @@ class TestEncodePair:
 
     def test_question_too_long(self):
         with pytest.raises(EncodingError):
-            encode_pair("word " * 40, "ctx", self.vocab, 16)
+            encode_pair("word " * 40, "ctx", self.vocab, 16, [], [])
 
     def test_truncation_drops_lost_answer(self):
         context = " ".join(["filler"] * 30) + " aspirin"
-        pair = encode_pair("q ?", context, self.vocab, 16,
+        pair = encode_pair("q ?", context, self.vocab, 16, [], [],
                            answer_char_span=(len(context) - 7, len(context)))
         assert pair.answer_start_tok == -1
         assert pair.answer_end_tok == -1
 
     def test_deterministic(self):
-        a = encode_pair("dose ?", "aspirin 40 mg", self.vocab, 24)
-        b = encode_pair("dose ?", "aspirin 40 mg", self.vocab, 24)
+        a = encode_pair("dose ?", "aspirin 40 mg", self.vocab, 24, [], [])
+        b = encode_pair("dose ?", "aspirin 40 mg", self.vocab, 24, [], [])
         np.testing.assert_array_equal(a.token_ids, b.token_ids)
         np.testing.assert_array_equal(a.segment_ids, b.segment_ids)
 
     def test_answer_inside_context_segment(self):
         context = "aspirin 40 mg daily"
         pair = encode_pair("dose of aspirin ?", context, self.vocab, 32,
-                           answer_char_span=(8, 13))
+                           [], [], answer_char_span=(8, 13))
         assert pair.segment_ids[pair.answer_start_tok] == 1
         assert pair.context_mask[pair.answer_end_tok]
 
