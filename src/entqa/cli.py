@@ -69,7 +69,7 @@ def resolve_configs(args, vocab: Vocab, systems, decided: dict,
         try:
             with open(args.config, encoding="utf-8") as fh:
                 settings = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:   # not UTF-8, or not JSON
             raise CliError(f"cannot read config {args.config}: {exc}")
         if not isinstance(settings, dict):
             raise CliError(f"config {args.config} is not a JSON object")
@@ -265,7 +265,9 @@ def cmd_train(args) -> int:
                 "train": dataclasses.asdict(train_config)}
     write_manifest(out, "train", args.argv, resolved, train_config.seed,
                    coverage)
-    summary = {"best_val_f1": result.best_val_f1,
+    # -inf before the first validation, which strict JSON has no word for
+    best = result.best_val_f1 if math.isfinite(result.best_val_f1) else None
+    summary = {"best_val_f1": best,
                "steps": len(result.log),
                "stopped_early": result.stopped_early,
                "aborted": result.aborted,

@@ -32,21 +32,16 @@ pre-activation's normal cdf (``ffn``); its vjp recomputes the rest with
 forward's operations on the same arrays in the same order, so with
 forward's bits at a fixed BLAS thread count.
 
-Buffers. An op owns the arrays it allocates: its result and what its vjp
-keeps for backward. The elementwise kernels (GELU in ``gelu`` and
-``ffn``, the layer norm in ``layer_norm`` and both sublayers,
-``dropout``, attention's scale, mask bias and softmax, ``linear``'s
-bias) allocate each result once and fill it with in-place and ``out=``
-ufuncs over the whole array, rather than allocating a temporary per
-operation; a vjp allocates the gradients it returns the same way. Each
-keeps the plain expression's operations in their order, so the bits
-equal those of that expression (tests/tensor_reference.py holds them).
-Two gradients go one batch row at a time: attention's softmax gradient,
-so that its ``gy * y`` scratch is one row's [H, L, L], and ``ffn``'s
-``w2`` gradient. A vjp never writes into the gradient ``g`` it is
-handed, nor into anything it keeps: ``g`` may be shared with another
-node: ``a + b`` hands both inputs the same array, which each may adopt
-as its gradient (``_Node.accumulate``).
+Buffers. Ops are plain numpy expressions, a temporary per operation,
+except where a measurement gave a reason: GELU fills owned buffers,
+attention's softmax fills the scores' buffer and its gradient goes one
+batch row at a time, ``ffn``'s ``w2`` gradient goes row by row, and
+attention's ``merge`` copies the heads C-contiguous; each says why where
+it stands. These keep the plain expression's operations in their order,
+so their bits equal that expression's (tests/tensor_reference.py holds
+them). Nothing writes into an array it did not allocate: ``a + b`` hands
+both inputs the same gradient, which each may adopt
+(``_Node.accumulate``).
 """
 
 from __future__ import annotations
@@ -93,8 +88,7 @@ class _Node:
     that needs no gradient) and vjp of the op that made it (none for a
     leaf). It never holds the value."""
 
-    __slots__ = ("shape", "grad", "inputs", "vjp", "requires_grad",
-                 "owns_grad")
+    __slots__ = ("shape", "grad", "inputs", "vjp", "requires_grad")
 
     def __init__(self, shape: tuple, inputs: tuple = (), vjp=None):
         self.shape = shape
@@ -102,20 +96,15 @@ class _Node:
         self.inputs = inputs
         self.vjp = vjp
         self.requires_grad = True
-        self.owns_grad = False
 
     def accumulate(self, g: np.ndarray):
         # adopt the first gradient, copied only when not C-contiguous (as a
-        # broadcast view is); `g` may be shared with another node, so an
-        # adopted array is never written in place. The second gradient
-        # allocates the sum, which the node owns and adds later ones into
+        # broadcast view is); `g` may be shared with another node, so a
+        # later gradient makes a fresh sum
         if self.grad is None:
             self.grad = np.asarray(g, order="C")
-        elif self.owns_grad:
-            self.grad += g
         else:
             self.grad = self.grad + g
-            self.owns_grad = True
 
 
 class Tensor:
@@ -148,7 +137,7 @@ class Tensor:
 
     @grad.setter
     def grad(self, g):   # a tensor that requires no gradient has no node
-        self._node.grad, self._node.owns_grad = g, False
+        self._node.grad = g
 
     def item(self) -> float:
         return float(self.data)
@@ -286,9 +275,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node; the product is not kept for backward."""
     xd, wd = x.data, w.data
     _check_matmul(xd, wd)
-    out = np.matmul(xd, wd)
-    out += b.data
-    return Tensor._make(out, (x, w, b),
+    return Tensor._make(np.matmul(xd, wd) + b.data, (x, w, b),
                         lambda g: (np.matmul(g, wd.swapaxes(-1, -2)),
                                    np.matmul(xd.swapaxes(-1, -2), g), g))
 
@@ -299,6 +286,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+# GELU fills owned buffers: written plain, one default-size training step's
+# peak RSS rose from 177 to 193 MB (1 BLAS thread)
 def _gelu_fill(X: np.ndarray) -> tuple:
     """GELU of `X` and its normal cdf, in owned buffers."""
     # cdf = 0.5 * (1 + erf(x / sqrt 2)); out = x * cdf
@@ -331,43 +320,30 @@ def gelu(x: Tensor) -> Tensor:
 
 def _norm_fill(X: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple:
     """Layer norm over `X`'s last axis: the normalized rows, inverse
-    deviations and xhat * gain + bias, in owned buffers. The variance is
-    the mean square of the centered rows, as ``np.var`` computes it."""
-    XH = np.subtract(X, X.mean(axis=-1, keepdims=True))
-    O = np.multiply(XH, XH)
-    INV = O.mean(axis=-1, keepdims=True)
-    INV += LAYER_NORM_EPS
-    np.sqrt(INV, out=INV)
-    np.divide(1.0, INV, out=INV)
-    XH *= INV
-    _affine(XH, gd, bd, out=O)
-    return XH, INV, O
+    deviations and xhat * gain + bias. The variance is the mean square of
+    the centered rows, as ``np.var`` computes it."""
+    XH = X - X.mean(axis=-1, keepdims=True)
+    INV = 1.0 / np.sqrt((XH * XH).mean(axis=-1, keepdims=True)
+                        + LAYER_NORM_EPS)
+    XH = XH * INV   # rebound, so the centered rows die before the affine
+    return XH, INV, _affine(XH, gd, bd)
 
 
-def _affine(XH: np.ndarray, gd: np.ndarray, bd: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """xhat * gain + bias, in `out` or a fresh buffer; elementwise, so a
-    recomputation has the fill's bits."""
-    out = np.multiply(XH, gd, out=out)
-    out += bd
-    return out
+def _affine(XH: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """xhat * gain + bias; elementwise, so a recomputation has the fill's
+    bits."""
+    return XH * gd + bd
 
 
 def _norm_grads(XH: np.ndarray, INV: np.ndarray, gd: np.ndarray,
                 G: np.ndarray) -> tuple:
     """The gradients of a layer norm's x, gain and bias (normalized rows
     `XH`, inverse deviations `INV`, gain `gd`) for its output's gradient
-    `G`; x's in a fresh buffer."""
-    # inv * (gy - mean(gy) - xhat * mean(gy * xhat)), gy = g * gain
-    GX = np.multiply(G, gd)
-    m1 = GX.mean(axis=-1, keepdims=True)
-    t = np.multiply(GX, XH)
-    m2 = t.mean(axis=-1, keepdims=True)
-    GX -= m1
-    np.multiply(XH, m2, out=t)
-    GX -= t
-    GX *= INV
-    return GX, G * XH, G
+    `G`."""
+    GY = G * gd
+    m1 = GY.mean(axis=-1, keepdims=True)
+    m2 = (GY * XH).mean(axis=-1, keepdims=True)
+    return (GY - m1 - XH * m2) * INV, G * XH, G
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -414,19 +390,21 @@ def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
     def split(a):   # [B, L, d] -> [B, H, L, dh] view
         return a.reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):   # [B, H, L, dh] -> [B, L, d], C-contiguous as a node's
-        # adopted gradient is, so the products that read it are unchanged
+    def merge(a):   # [B, H, L, dh] -> [B, L, d], copied C-contiguous:
+        # dk's reshape is a strided view, which the products that read it
+        # round differently (test_attention_bits' acceptance_short_batch)
         return np.ascontiguousarray(a.transpose(0, 2, 1, 3).reshape(B, L, d))
 
     def attend(xn):
         # (q, k^T and v in heads, the probabilities, the merged heads)
-        q = np.matmul(xn, wqd)
-        q += bqd
+        q = np.matmul(xn, wqd) + bqd
         k = np.matmul(xn, wkd)
-        v = np.matmul(xn, wvd)
-        v += bvd
+        v = np.matmul(xn, wvd) + bvd
         qh, kt, vh = split(q), split(k).swapaxes(-1, -2), split(v)
-        # softmax(q k^T * scale + bias) over keys, in the scores' buffer
+        # softmax(q k^T * scale + bias) over keys, in the scores' buffer:
+        # written plain, backward's scratch in
+        # test_attention_vjp_scratch_is_one_batch_row is 3.09 [B, H, L, L]
+        # against its bound of 2.5
         y = np.matmul(qh, kt)
         y *= scale
         y += bias[:, None, None, :]
@@ -436,8 +414,7 @@ def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
         return qh, kt, vh, y, merge(np.matmul(y, vh))
 
     XH, INV, xn = _norm_fill(xd, gd, bd)
-    out = np.matmul(attend(xn)[-1], wod)
-    out += bo.data
+    out = np.matmul(attend(xn)[-1], wod) + bo.data
 
     def grads(g):
         # (xn, the merged heads, q's, k's and v's gradients); the
@@ -447,6 +424,7 @@ def attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor,
         gh = np.ascontiguousarray(split(np.matmul(g, wod.swapaxes(-1, -2))))
         # y * (gy - sum(gy * y)) * scale, in gy's buffer, one batch row at
         # a time so that gy * y takes one row's [H, L, L] of scratch
+        # (test_attention_vjp_scratch_is_one_batch_row)
         gy = np.matmul(gh, vh.swapaxes(-1, -2))
         t = np.empty(gy.shape[1:])
         for gb, yb in zip(gy, y):
@@ -492,14 +470,11 @@ def ffn(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor,
     batch = xd.shape[:-2]
 
     def pre_activation(xn):
-        a = np.matmul(xn, w1d)
-        a += b1d
-        return a
+        return np.matmul(xn, w1d) + b1d
 
     XH, INV, xn = _norm_fill(xd, gd, bd)
     h, C = _gelu_fill(pre_activation(xn))
-    out = np.matmul(h, w2d)
-    out += b2.data
+    out = np.matmul(h, w2d) + b2.data
 
     def grads(g):
         # (xn, a's gradient, w2's gradient); a and h's gradient die on
@@ -561,10 +536,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
     keep = draw[tuple(slice(n) for n in x.data.shape)] >= p
     scale = 1.0 / (1.0 - p)
 
-    def masked(a):   # a * keep * scale, which is a * (keep / (1 - p))
-        out = np.multiply(a, keep)
-        out *= scale
-        return out
+    def masked(a):   # a * (keep / (1 - p)), with the same bits
+        return a * keep * scale
 
     return Tensor._make(masked(x.data), (x,), lambda g: (masked(g),))
 

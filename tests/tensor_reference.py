@@ -2,10 +2,11 @@
 
 The package's graph needs none of these. The kernels are the plain
 expressions of linear, GELU, layer norm, embedding, dropout and
-attention, each allocating a temporary per operation: the package
-computes the same operations in the same order in owned buffers filled
-in place (attention's softmax gradient one batch row at a time) or
-(embedding's gradient) in one ``np.bincount``, and
+attention, each allocating a temporary per operation. The package
+writes linear, layer norm and dropout the same way; it computes GELU and
+attention's softmax with the same operations in the same order in owned
+buffers filled in place (the softmax gradient one batch row at a time),
+and embedding's gradient in one ``np.bincount``.
 tests/test_tensor_kernels.py requires the same bits. The pre-norm
 sublayers at the end chain those kernels into the graph of several nodes
 that the package's one-node ``attention`` and ``ffn`` replace;

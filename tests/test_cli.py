@@ -907,6 +907,32 @@ def test_config_that_is_not_an_object_exits_2(workspace, tmp_path, capsys,
     assert str(config) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "run-matrix"])
+def test_config_not_in_utf8_exits_2(workspace, tmp_path, capsys, monkeypatch,
+                                    command):
+    # a usage error that names the file, not the bare codec message
+    _no_training(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"train.lr": 0.001}\xff\xfe\n')
+    args = _training_args(workspace, tmp_path, command)
+    assert main(args + ["--config", str(config)]) == 2
+    assert f"cannot read config {config}" in capsys.readouterr().err
+
+
+def test_aborted_train_json_is_strict_json(workspace, tmp_path, capsys):
+    # training that aborts before its first validation has no best F1:
+    # the summary says null, where the human line says -inf
+    args = _training_args(workspace, tmp_path, "train", system="baseline")
+    assert main(args + ["--json", "--set", "model.hidden_dim=8",
+                        "--set", "model.layers=1", "--set", "model.heads=2",
+                        "--set", "model.max_seq_len=20",
+                        "--set", "model.ffn_mult=1", "--set", "train.epochs=1",
+                        "--set", "train.lr=1e300"]) == 4
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1],
+                         parse_constant=_refuse_constant)
+    assert summary["aborted"] and summary["best_val_f1"] is None
+
+
 @pytest.mark.parametrize("key,value", [("train.epochs", 1.5),
                                        ("model.hidden_dim", "16"),
                                        ("model.dropout", "0.1"),

@@ -1,17 +1,18 @@
-"""The in-place kernels give the plain expressions' exact bits.
+"""The package's kernels give the plain expressions' exact bits.
 
-`entqa.tensor` computes GELU, layer norm, dropout, attention's softmax and
-linear's bias in owned buffers filled with in-place ufuncs, embedding's
-gradient in one bincount, and attention's softmax gradient and the
-feed-forward node's weight gradient one batch row at a time. Each forward
-and every gradient a vjp returns must equal the plain expression in
-tests/tensor_reference.py bit for bit (signed zeros included), at the
-model's default and acceptance sizes, for a single row, and for
-non-contiguous upstream gradients. No vjp may write into the gradient it
-is handed. The pre-norm sublayer nodes (attention and feed-forward) are
-checked whole: their forward and every input's gradient after backward,
-which recomputes their intermediates, must equal those of the reference
-chain of nodes they replace.
+`entqa.tensor` computes GELU and attention's softmax in owned buffers
+filled with in-place ufuncs, embedding's gradient in one bincount, and
+attention's softmax gradient and the feed-forward node's weight gradient
+one batch row at a time; linear, layer norm and dropout are plain
+expressions, as in the reference. Each forward and every gradient a vjp
+returns must equal the plain expression in tests/tensor_reference.py bit
+for bit (signed zeros included), at the model's default and acceptance
+sizes, for a single row, and for non-contiguous upstream gradients. No
+vjp may write into the gradient it is handed. The pre-norm sublayer
+nodes (attention and feed-forward) are checked whole: their forward and
+every input's gradient after backward, which recomputes their
+intermediates, must equal those of the reference chain of nodes they
+replace.
 """
 
 import numpy as np
@@ -186,13 +187,15 @@ def test_embedding_bits(name, table, ids):
 
 
 # (id, [B, L, d], heads); the default token encoder, the acceptance
-# model's token and entity encoders, and small cases
+# model's token and entity encoders, an acceptance batch trimmed short,
+# and small cases
 ATTENTION_SHAPES = [
     ("single_sequence", (1, 5, 4), 2),
     ("small", (5, 7, 6), 3),
     ("default_tokens", (16, 128, 128), 4),
     ("acceptance_tokens", (32, 30, 48), 2),
     ("acceptance_entities", (32, 30, 12), 2),
+    ("acceptance_short_batch", (32, 12, 48), 2),
 ]
 
 
